@@ -1,26 +1,34 @@
-"""Height grids over all nontrivial d-torsion points, with symmetry sharing.
+"""Height grids over all nontrivial d-torsion points, with orbit sharing.
 
-The height is invariant under the order-12 residue symmetry group, so the
-grid is computed once per canonical orbit representative and broadcast to
-the orbit.  Values obtained this way are bit-identical to a cell-by-cell
-recomputation because the per-term evaluation in ``torsion`` only depends
-on orbit invariants.
+The height is invariant under the order-12 residue symmetry group, so each
+cell is filled from the canonical representative of its symmetry orbit.
+The representatives are reduced to their order e and a primitive pair
+mod e, and ``torsion.total_heights`` evaluates all of one order in one
+batch: one Galois-orbit sum per unit-normalised pair, gathered from a
+per-order table.  Values are bit-identical to a cell-by-cell
+recomputation because the orbit sum is exactly rounded and invariant
+under the symmetries and under multiplication by units.  The grid is
+computed in the calling thread; the ``threads`` arguments and the
+ZETA_HEIGHTS_THREADS variable are accepted and have no effect.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import constants, symmetry
-from .torsion import LOG2, TorsionPoint, total_height
+# total_height is re-exported: bench/tests checks that the tracer rebinds
+# it in this module.
+from .torsion import LOG2, TorsionPoint, total_height, total_heights  # noqa: F401
 
 THREADS_ENV_VAR = "ZETA_HEIGHTS_THREADS"
 HISTOGRAM_BINS = 256
+
+# Largest grid modulus: the d x d arrays and their transients stay near 1 GB.
+MAX_D = 4096
 
 # |h| below this counts as an exact height zero; the computed minima are
 # cancellation residues of order 1e-16.
@@ -66,18 +74,6 @@ class DistStats:
     histogram: tuple[int, ...]
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def _rep_codes(d: int) -> np.ndarray:
     """Canonical representative code (r1*d + r2) for every cell, vectorized."""
     c1g, c2g = np.meshgrid(np.arange(d, dtype=np.int64), np.arange(d, dtype=np.int64), indexing="ij")
@@ -90,38 +86,27 @@ def _rep_codes(d: int) -> np.ndarray:
     return best
 
 
-def _heights_for(d: int, codes: list[int]) -> list[tuple[int, float]]:
-    out = []
-    for code in codes:
-        r1, r2 = divmod(code, d)
-        out.append((code, total_height(TorsionPoint(d, r1, r2)).total))
-    return out
-
-
 def compute_grid(d: int, threads: int | None = None) -> HeightGrid:
     """Heights of all nontrivial d-torsion points.
 
-    One height evaluation per symmetry orbit, broadcast to the orbit's
-    cells.  Results are independent of the worker count; ``threads=None``
-    falls back to the ZETA_HEIGHTS_THREADS environment variable, then 1.
+    One batched evaluation per order e dividing d, broadcast to the cells
+    of each symmetry orbit.  ``threads`` is accepted and ignored.
     """
     if d < 2:
         raise ValueError(f"grid needs d >= 2, got {d}")
-    nworkers = _resolve_threads(threads)
+    if d > MAX_D:
+        raise ValueError(f"grid needs d <= {MAX_D}, got {d}")
     codes = _rep_codes(d)
     reps = np.unique(codes.ravel())
-    reps = reps[reps != 0].tolist()
+    reps = reps[reps != 0]
+    r1, r2 = np.divmod(reps, d)
+    g = np.gcd(np.gcd(r1, r2), d)
+    orders = d // g
 
     value_by_code = np.full(d * d, np.nan)
-    if nworkers == 1 or len(reps) < 64:
-        results = _heights_for(d, reps)
-    else:
-        chunks = [reps[i::nworkers] for i in range(nworkers)]
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            futures = [pool.submit(_heights_for, d, chunk) for chunk in chunks]
-            results = [pair for fut in futures for pair in fut.result()]
-    for code, value in results:
-        value_by_code[code] = value
+    for e in np.unique(orders).tolist():
+        sel = orders == e
+        value_by_code[reps[sel]] = total_heights(e, r1[sel] // g[sel], r2[sel] // g[sel])
 
     values = value_by_code[codes]
     values.flags.writeable = False

@@ -33,6 +33,11 @@ from .errors import NontrivialityError
 
 LOG2 = math.log(2.0)
 
+# Largest order whose Galois orbit is summed.  archimedean_height holds
+# about 70 bytes per residue of the order at its peak, so one height stays
+# under 1 GB.
+MAX_ORDER = 10**7
+
 
 @dataclass(frozen=True)
 class TorsionPoint:
@@ -103,6 +108,8 @@ def _reduced(pt: TorsionPoint) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=512)
 def _units_array(e: int) -> np.ndarray:
+    if e > MAX_ORDER:
+        raise ValueError(f"order {e} exceeds the Galois-orbit limit {MAX_ORDER}")
     k = np.arange(1, e + 1, dtype=np.int64)
     return k[np.gcd(k, e) == 1]
 
@@ -140,6 +147,69 @@ def archimedean_height(pt: TorsionPoint) -> float:
     td = _root_distances(((c2 - c1) * k) % e, e)
     summands = np.log(np.maximum(np.maximum(td, t2), t1))
     return math.fsum(summands.tolist()) / len(k)
+
+
+@lru_cache(maxsize=512)
+def _inverses(e: int) -> np.ndarray:
+    """m^-1 mod e at every unit m of e, 0 at the non-units."""
+    inv = np.zeros(e, dtype=np.int64)
+    units = _units_array(e)
+    inv[units] = [pow(u, -1, e) for u in units.tolist()]
+    return inv
+
+
+@lru_cache(maxsize=512)
+def _log_distances(e: int) -> np.ndarray:
+    """log |exp(2*pi*i*m/e) - 1| for m in [0, e), -inf at m = 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(_root_distances(np.arange(e, dtype=np.int64), e))
+
+
+# Elements of one (pairs x units) block of the batched orbit sum.
+_BLOCK = 1 << 20
+
+
+def total_heights(e: int, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Total heights of the order-e points with primitive residue pairs (c1, c2) mod e.
+
+    Bit-identical to ``total_height(TorsionPoint(e, c1, c2)).total`` and so
+    to the height of the same point at any level d divisible by e.  The
+    Galois-orbit sum is exactly rounded, hence invariant under
+    (c1, c2) -> (k*c1, k*c2) for units k and under the symmetries that
+    permute the three distances.  Each pair is brought to (1, x) by
+    (a, b) -> (a, b), (b, a) or (b - a, b), whichever puts a unit first,
+    times that unit's inverse; a pair with no unit among a, b, b - a (only
+    possible for e with three distinct primes) is kept as it is.  Each
+    distinct pair is then summed once, as a gather from a per-order table
+    of log distances; log is monotone, so the max of the three logs is the
+    log of the max that ``archimedean_height`` takes.
+    """
+    if e < 2:
+        raise ValueError(f"nontrivial points need order e >= 2, got {e}")
+    a = np.asarray(c1, dtype=np.int64) % e
+    b = np.asarray(c2, dtype=np.int64) % e
+    if np.any(np.gcd(np.gcd(a, b), e) != 1):
+        raise ValueError(f"residue pairs must be primitive mod {e}")
+    inv = _inverses(e)
+    diff = (b - a) % e
+    cases = [inv[a] != 0, inv[b] != 0, inv[diff] != 0]
+    scale = np.select(cases, [inv[a], inv[b], inv[diff]], default=1)
+    first = np.select(cases, [a, b, diff], default=a) * scale % e
+    second = np.select(cases, [b, a, b], default=b) * scale % e
+    keys, back = np.unique(first * e + second, return_inverse=True)
+
+    k = _units_array(e)
+    table = _log_distances(e)
+    nonarch = nonarchimedean_height(TorsionPoint(e, 1, 0))
+    p, q = np.divmod(keys, e)
+    totals = []
+    step = max(1, _BLOCK // len(k))
+    for lo in range(0, len(keys), step):
+        pk = p[lo : lo + step, None] * k
+        qk = q[lo : lo + step, None] * k
+        logs = np.maximum(np.maximum(table[(qk - pk) % e], table[qk % e]), table[pk % e])
+        totals += [math.fsum(row) / len(k) + nonarch for row in logs.tolist()]
+    return np.array(totals)[back]
 
 
 def nonarchimedean_height(pt: TorsionPoint) -> float:

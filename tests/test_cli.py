@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import pytest
 
@@ -39,6 +40,10 @@ class TestHeight:
     def test_trivial_point_exits_2(self, capsys):
         code, _ = run(capsys, "height", "--d", "5", "--c", "0,0")
         assert code == 2
+
+    def test_huge_order_exits_2(self, capsys):
+        assert cli.main(["height", "--d", "100000000000", "--c", "1,0"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestGrid:
@@ -105,6 +110,10 @@ class TestGrid:
         code = cli.main(["grid", "--d", "3", "--out", "/nonexistent-dir/x/grid.csv"])
         assert code == 3
 
+    def test_huge_grid_exits_2(self, capsys):
+        assert cli.main(["grid", "--d", "3000000", "--format", "json"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestStats:
     def test_small_range_means_below_eta(self, capsys):
@@ -128,6 +137,15 @@ class TestStats:
     def test_empty_range_exits_2(self, capsys):
         code, _ = run(capsys, "stats", "--d-range", "5:2")
         assert code == 2
+
+    def test_threads_start_no_thread(self, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("stats started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        code, out = run(capsys, "stats", "--d-range", "58:60", "--threads", "8")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 4
 
 
 class TestRunConfig:

@@ -1,4 +1,6 @@
 import math
+import threading
+import warnings
 from math import fsum, log
 
 import numpy as np
@@ -36,7 +38,9 @@ class TestComputeGrid:
         assert abs(g.height(1, 2) - 0.5 * log(2)) <= 1e-12
 
     def test_matches_naive_bit_for_bit(self):
-        for d in range(2, 25):
+        # 30, 42 and 60 have orders with three distinct primes, where some
+        # pairs have no unit among c1, c2, c2 - c1
+        for d in [*range(2, 25), 30, 42, 60]:
             shared = grid.compute_grid(d).values
             naive = naive_grid(d)
             assert math.isnan(shared[0, 0])
@@ -83,6 +87,27 @@ class TestComputeGrid:
     def test_domain(self):
         with pytest.raises(ValueError):
             grid.compute_grid(1)
+
+    def test_size_limit(self):
+        # refused before any d x d array is allocated
+        with pytest.raises(ValueError, match="d <= 4096"):
+            grid.compute_grid(grid.MAX_D + 1)
+
+    def test_no_warnings(self):
+        # the log-distance table holds log 0 = -inf, which must stay silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in range(2, 41):
+                grid.compute_grid(d)
+
+    def test_starts_no_thread(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("compute_grid started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        one = grid.compute_grid(60, threads=1)
+        many = grid.compute_grid(60, threads=8)
+        assert np.array_equal(one.nontrivial_values(), many.nontrivial_values())
 
 
 class TestStats:
@@ -188,3 +213,18 @@ class TestExactOrbitEquality:
                     continue
                 values = {total_height(TorsionPoint(d, *m)).total for m in symmetry.orbit(c, d)}
                 assert len(values) == 1
+
+    def test_unit_multiples_bit_identical(self):
+        # the grid kernel sums one unit multiple of a pair and reuses it for all
+        from zeta_heights import arith
+
+        for d in (36, 48, 60, 97):
+            rng = np.random.default_rng(d)
+            units = arith.modular_units(d)
+            for _ in range(40):
+                c1, c2 = int(rng.integers(d)), int(rng.integers(d))
+                if (c1, c2) == (0, 0):
+                    continue
+                k = units[int(rng.integers(len(units)))]
+                base = total_height(TorsionPoint(d, c1, c2)).total
+                assert total_height(TorsionPoint(d, k * c1, k * c2)).total == base

@@ -3,6 +3,7 @@ import math
 import random
 from math import fsum, gcd, log, pi
 
+import numpy as np
 import pytest
 
 from zeta_heights import arith, torsion
@@ -153,6 +154,27 @@ class TestTotalHeight:
     def test_trivial_rejected(self):
         with pytest.raises(NontrivialityError):
             torsion.total_height(TorsionPoint(9, 0, 0))
+
+    def test_refuses_huge_orders(self):
+        # refused before the unit array is allocated
+        with pytest.raises(ValueError, match="order"):
+            torsion.total_height(TorsionPoint(torsion.MAX_ORDER + 1, 1, 0))
+
+
+class TestTotalHeights:
+    @pytest.mark.parametrize("e", [2, 3, 4, 12, 30, 49, 60, 105])
+    def test_matches_total_height_bit_for_bit(self, e):
+        pairs = [(a, b) for a in range(e) for b in range(e) if gcd(gcd(a, b), e) == 1]
+        c1, c2 = np.array(pairs).T
+        got = torsion.total_heights(e, c1, c2)
+        want = [torsion.total_height(TorsionPoint(e, a, b)).total for a, b in pairs]
+        assert got.tolist() == want
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            torsion.total_heights(1, np.array([0]), np.array([0]))
+        with pytest.raises(ValueError, match="primitive"):
+            torsion.total_heights(6, np.array([1, 2]), np.array([1, 4]))
 
 
 class TestClassifyExtremal:
