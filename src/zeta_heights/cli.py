@@ -10,36 +10,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import amoeba, constants, curves, grid
 from .quad import BudgetExceeded
 from .torsion import LOG2, TorsionPoint, classify_extremal, order, total_height
 
 FORMATS = ("csv", "pgm", "json")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: one subcommand plus its parameters."""
-
-    subcommand: str
-    d: int | None = None
-    d_range: list[int] | None = None
-    c: tuple[int, int] | None = None
-    a: tuple[int, int] | None = None
-    e: int | None = None
-    epsilon: float = 0.1
-    tolerance: float | None = None
-    threads: int | None = None
-    out: str | None = None
-    fmt: str = "json"
-
-    def __post_init__(self) -> None:
-        if self.fmt not in FORMATS:
-            raise ValueError(f"unknown format {self.fmt!r}")
-        if self.fmt == "pgm" and self.subcommand != "grid":
-            raise ValueError("pgm output is only available for the grid subcommand")
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -93,8 +69,8 @@ def _json_line(payload: dict) -> str:
     return json.dumps(payload) + "\n"
 
 
-def cmd_height(cfg: RunConfig) -> str:
-    pt = TorsionPoint(cfg.d, *cfg.c)
+def cmd_height(args: argparse.Namespace) -> str:
+    pt = TorsionPoint(args.d, *_parse_pair(args.c))
     parts = total_height(pt)
     return _json_line({
         "d": pt.d,
@@ -147,22 +123,19 @@ def _stats_payload(st: grid.DistStats) -> dict:
     }
 
 
-def cmd_grid(cfg: RunConfig) -> str:
-    g = grid.compute_grid(cfg.d, cfg.threads)
-    if cfg.fmt == "csv":
+def cmd_grid(args: argparse.Namespace) -> str:
+    g = grid.compute_grid(args.d)
+    if args.format == "csv":
         return grid_csv(g)
-    if cfg.fmt == "pgm":
+    if args.format == "pgm":
         return grid_pgm(g)
-    return _json_line({"d": g.d, "stats": _stats_payload(grid.stats(g, cfg.epsilon))})
+    return _json_line({"d": g.d, "stats": _stats_payload(grid.stats(g, args.epsilon))})
 
 
-def cmd_stats(cfg: RunConfig) -> str:
-    rows = []
-    for d in cfg.d_range:
-        st = grid.stats(grid.compute_grid(d, cfg.threads), cfg.epsilon)
-        rows.append(st)
-    if cfg.fmt == "json":
-        return _json_line({"epsilon": cfg.epsilon, "rows": [_stats_payload(st) for st in rows]})
+def cmd_stats(args: argparse.Namespace) -> str:
+    rows = [grid.stats(grid.compute_grid(d), args.epsilon) for d in _parse_range(args.d_range)]
+    if args.format == "json":
+        return _json_line({"epsilon": args.epsilon, "rows": [_stats_payload(st) for st in rows]})
     lines = ["d,mean,ratio_near_eta,min,max,count_zero"]
     for st in rows:
         ratio = st.count_near_eta / (st.d * st.d - 1)
@@ -173,7 +146,7 @@ def cmd_stats(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_constants(cfg: RunConfig) -> str:
+def cmd_constants(args: argparse.Namespace) -> str:
     sv = constants.special_values()
     return _json_line({
         "zeta2": sv.zeta2,
@@ -185,17 +158,23 @@ def cmd_constants(cfg: RunConfig) -> str:
     })
 
 
-def _limits_experiment(cfg: RunConfig, random_witness: bool, seed: int) -> curves.LimitExperiment:
+def cmd_limits(args: argparse.Namespace) -> str:
+    if (args.d_list is None) == (args.primes is None):
+        raise ValueError("limits: give exactly one of --d-list or --primes")
+    if args.d_list is not None:
+        d_range = [int(v) for v in args.d_list.split(",")]
+    else:
+        lo, hi = (int(v) for v in args.primes.split(":"))
+        d_range = _primes_in(lo, hi)
+        if not d_range:
+            raise ValueError(f"no primes in [{lo}, {hi}]")
     curve = None
-    if cfg.a is not None:
-        curve = curves.TorsionCurve(cfg.a[0], cfg.a[1], cfg.e if cfg.e is not None else 1)
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-9
-    return curves.limit_experiment(curve, cfg.d_range, tol, random_witness=random_witness, seed=seed)
-
-
-def cmd_limits(cfg: RunConfig, random_witness: bool = False, seed: int = 0) -> str:
-    exp = _limits_experiment(cfg, random_witness, seed)
-    if cfg.fmt == "json":
+    if args.a is not None:
+        curve = curves.TorsionCurve(*_parse_pair(args.a), 1 if args.e is None else args.e)
+    elif args.e is not None:
+        raise ValueError("limits: --e needs --a")
+    exp = curves.limit_experiment(curve, d_range, args.tol, random_witness=args.random_witness, seed=args.seed)
+    if args.format == "json":
         return _json_line({
             "limit": exp.limit,
             "rows": [
@@ -212,15 +191,28 @@ def cmd_limits(cfg: RunConfig, random_witness: bool = False, seed: int = 0) -> s
     return "\n".join(lines) + "\n"
 
 
-def cmd_curve(cfg: RunConfig) -> str:
-    curve = curves.TorsionCurve(cfg.a[0], cfg.a[1], cfg.e if cfg.e is not None else 1)
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-10
-    value = curves.limit_height(curve, tol)
+def cmd_curve(args: argparse.Namespace) -> str:
+    curve = curves.TorsionCurve(*_parse_pair(args.a), args.e)
+    value = curves.limit_height(curve, args.tol)
     return _json_line({"a1": curve.a1, "a2": curve.a2, "e": curve.e, "value": value})
 
 
-def cmd_amoeba(cfg: RunConfig, args: argparse.Namespace) -> str:
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-9
+def _sample_axis(spec: str) -> list[float]:
+    lo, hi, n = spec.split(":")
+    count = int(n)
+    if count < 1:
+        raise ValueError(f"amoeba: sample counts must be >= 1, got {spec!r}")
+    return [float(lo) + (float(hi) - float(lo)) * i / max(1, count - 1) for i in range(count)]
+
+
+# an absent query reads None: --volume and --psi-average default to None, not False
+_AMOEBA_QUERIES = ("contains", "moment", "volume", "psi_average", "ronkin", "dual", "ronkin_samples")
+
+
+def cmd_amoeba(args: argparse.Namespace) -> str:
+    if sum(getattr(args, q) is not None for q in _AMOEBA_QUERIES) != 1:
+        raise ValueError("amoeba: choose exactly one of "
+                         "--contains/--moment/--volume/--psi-average/--ronkin/--dual/--ronkin-samples")
     if args.contains is not None:
         u = amoeba.AmoebaPoint(*_parse_float_pair(args.contains))
         return _json_line({
@@ -230,7 +222,7 @@ def cmd_amoeba(cfg: RunConfig, args: argparse.Namespace) -> str:
             "region": amoeba.region(u).value,
         })
     if args.moment is not None:
-        res = amoeba.south_moment(args.moment, min(tol, 1e-10))
+        res = amoeba.south_moment(args.moment, min(args.tol, 1e-10))
         return _json_line({
             "m": args.moment,
             "value": res.value,
@@ -243,23 +235,18 @@ def cmd_amoeba(cfg: RunConfig, args: argparse.Namespace) -> str:
         return _json_line({"psi_average": amoeba.psi_average()})
     if args.ronkin is not None:
         u = amoeba.AmoebaPoint(*_parse_float_pair(args.ronkin))
-        return _json_line({"u1": u.u1, "u2": u.u2, "ronkin": amoeba.ronkin(u, tol)})
+        return _json_line({"u1": u.u1, "u2": u.u2, "ronkin": amoeba.ronkin(u, args.tol)})
     if args.dual is not None:
         x = _parse_float_pair(args.dual)
-        return _json_line({"x1": x[0], "x2": x[1], "value": amoeba.legendre_dual(x, tol)})
-    if args.ronkin_samples is not None:
-        spec1, spec2 = args.ronkin_samples.split(",")
-        lo1, hi1, n1 = spec1.split(":")
-        lo2, hi2, n2 = spec2.split(":")
-        lines = ["u1,u2,ronkin"]
-        for i in range(int(n1)):
-            u1 = float(lo1) + (float(hi1) - float(lo1)) * i / max(1, int(n1) - 1)
-            for j in range(int(n2)):
-                u2 = float(lo2) + (float(hi2) - float(lo2)) * j / max(1, int(n2) - 1)
-                rho = amoeba.ronkin(amoeba.AmoebaPoint(u1, u2), tol)
-                lines.append(f"{format(u1, '.17g')},{format(u2, '.17g')},{format(rho, '.17g')}")
-        return "\n".join(lines) + "\n"
-    raise ValueError("amoeba: choose one of --contains/--moment/--volume/--psi-average/--ronkin/--dual/--ronkin-samples")
+        return _json_line({"x1": x[0], "x2": x[1], "value": amoeba.legendre_dual(x, args.tol)})
+    spec1, spec2 = args.ronkin_samples.split(",")
+    axis1, axis2 = _sample_axis(spec1), _sample_axis(spec2)
+    lines = ["u1,u2,ronkin"]
+    for u1 in axis1:
+        for u2 in axis2:
+            rho = amoeba.ronkin(amoeba.AmoebaPoint(u1, u2), args.tol)
+            lines.append(f"{format(u1, '.17g')},{format(u2, '.17g')},{format(rho, '.17g')}")
+    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("height", help="height of one torsion point")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--c", required=True, help="c1,c2")
+    p.set_defaults(run=cmd_height, out=None)
 
     p = sub.add_parser("grid", help="full d x d height grid")
     p.add_argument("--d", type=int, required=True)
@@ -279,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--threads", type=int)
     p.add_argument("--epsilon", type=float, default=0.1)
+    p.set_defaults(run=cmd_grid)
 
     p = sub.add_parser("stats", help="distribution statistics over a range of d")
     p.add_argument("--d-range", required=True, help="LO:HI or LO:HI:STEP")
@@ -286,94 +275,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.add_argument("--out")
     p.add_argument("--threads", type=int)
+    p.set_defaults(run=cmd_stats)
 
-    sub.add_parser("constants", help="special values as JSON")
+    p = sub.add_parser("constants", help="special values as JSON")
+    p.set_defaults(run=cmd_constants, out=None)
 
     p = sub.add_parser("limits", help="convergence of witness heights to the limit")
     p.add_argument("--d-list", help="comma-separated moduli, strictly increasing")
     p.add_argument("--primes", help="LO:HI, take all primes in the range")
     p.add_argument("--a", help="a1,a2 (restrict to a torsion curve)")
     p.add_argument("--e", type=int)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--random-witness", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.add_argument("--out")
+    p.set_defaults(run=cmd_limits)
 
     p = sub.add_parser("curve", help="segment-average limit height of a torsion curve")
     p.add_argument("--a", required=True, help="a1,a2 (primitive)")
     p.add_argument("--e", type=int, default=1)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.set_defaults(run=cmd_curve, out=None)
 
     p = sub.add_parser("amoeba", help="amoeba membership, moments, Ronkin values")
     p.add_argument("--contains", help="u1,u2")
     p.add_argument("--moment", type=int)
-    p.add_argument("--volume", action="store_true")
-    p.add_argument("--psi-average", action="store_true")
+    p.add_argument("--volume", action="store_true", default=None)
+    p.add_argument("--psi-average", action="store_true", default=None)
     p.add_argument("--ronkin", help="u1,u2")
     p.add_argument("--dual", help="x1,x2 in the standard simplex")
     p.add_argument("--ronkin-samples", help="LO:HI:N,LO:HI:N lattice, CSV output")
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out")
+    p.set_defaults(run=cmd_amoeba)
 
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    sub = args.subcommand
-    if sub == "height":
-        return RunConfig(sub, d=args.d, c=_parse_pair(args.c))
-    if sub == "grid":
-        return RunConfig(sub, d=args.d, fmt=args.format, out=args.out,
-                         threads=args.threads, epsilon=args.epsilon)
-    if sub == "stats":
-        return RunConfig(sub, d_range=_parse_range(args.d_range), epsilon=args.epsilon,
-                         fmt=args.format, out=args.out, threads=args.threads)
-    if sub == "constants":
-        return RunConfig(sub)
-    if sub == "limits":
-        if (args.d_list is None) == (args.primes is None):
-            raise ValueError("limits: give exactly one of --d-list or --primes")
-        if args.d_list is not None:
-            d_range = [int(v) for v in args.d_list.split(",")]
-        else:
-            lo, hi = (int(v) for v in args.primes.split(":"))
-            d_range = _primes_in(lo, hi)
-            if not d_range:
-                raise ValueError(f"no primes in [{lo}, {hi}]")
-        a = _parse_pair(args.a) if args.a is not None else None
-        return RunConfig(sub, d_range=d_range, a=a, e=args.e, tolerance=args.tol, fmt=args.format, out=args.out)
-    if sub == "curve":
-        return RunConfig(sub, a=_parse_pair(args.a), e=args.e, tolerance=args.tol)
-    if sub == "amoeba":
-        return RunConfig(sub, tolerance=args.tol, out=args.out)
-    raise ValueError(f"unknown subcommand {sub!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from(args)
-        if cfg.subcommand == "height":
-            text = cmd_height(cfg)
-        elif cfg.subcommand == "grid":
-            text = cmd_grid(cfg)
-        elif cfg.subcommand == "stats":
-            text = cmd_stats(cfg)
-        elif cfg.subcommand == "constants":
-            text = cmd_constants(cfg)
-        elif cfg.subcommand == "limits":
-            text = cmd_limits(cfg, random_witness=args.random_witness, seed=args.seed)
-        elif cfg.subcommand == "curve":
-            text = cmd_curve(cfg)
-        else:
-            text = cmd_amoeba(cfg, args)
+        text = args.run(args)
     except (ValueError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        _emit(text, cfg.out)
+        _emit(text, args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -148,15 +148,34 @@ class TestStats:
         assert len(out.strip().splitlines()) == 4
 
 
-class TestRunConfig:
-    def test_pgm_restricted_to_grid(self):
-        with pytest.raises(ValueError):
-            cli.RunConfig("stats", fmt="pgm")
-        cli.RunConfig("grid", d=4, fmt="pgm")  # fine
+class TestFormatChoices:
+    def test_pgm_restricted_to_grid(self, capsys):
+        for argv in (["stats", "--d-range", "2:3", "--format", "pgm"],
+                     ["limits", "--d-list", "5", "--format", "pgm"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+        assert cli.main(["grid", "--d", "4", "--format", "pgm"]) == 0  # fine
 
-    def test_unknown_format(self):
-        with pytest.raises(ValueError):
-            cli.RunConfig("grid", d=4, fmt="png")
+    def test_unknown_format(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["grid", "--d", "4", "--format", "png"])
+        assert exc.value.code == 2
+
+
+class TestOutRouting:
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--d-range", "2:6", "--format", "json"],
+        ["limits", "--d-list", "5,7", "--format", "csv"],
+        ["amoeba", "--ronkin-samples=-1:1:3,0:1:2"],
+    ])
+    def test_out_file_matches_stdout(self, capsys, tmp_path, argv):
+        code, out = run(capsys, *argv)
+        assert code == 0 and out
+        path = tmp_path / "out.txt"
+        assert cli.main([*argv, "--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == out.encode("ascii")
 
 
 class TestConstants:
@@ -191,6 +210,11 @@ class TestLimits:
     def test_needs_exactly_one_selector(self, capsys):
         assert cli.main(["limits", "--d-list", "5", "--primes", "2:3"]) == 2
         assert cli.main(["limits"]) == 2
+
+    def test_e_needs_a(self, capsys):
+        assert cli.main(["limits", "--d-list", "5,7", "--e", "9"]) == 2
+        assert capsys.readouterr() == ("", "error: limits: --e needs --a\n")
+        assert cli.main(["limits", "--a", "2,-1", "--e", "0", "--d-list", "5"]) == 2
 
 
 class TestCurve:
@@ -236,6 +260,28 @@ class TestAmoeba:
 
     def test_requires_a_query(self, capsys):
         assert cli.main(["amoeba"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--volume", "--moment", "1"],
+        ["--moment", "0", "--volume"],
+        ["--psi-average", "--contains", "0,0"],
+        ["--ronkin", "0,0", "--dual", "0.5,0.5"],
+    ])
+    def test_rejects_two_queries(self, capsys, argv):
+        assert cli.main(["amoeba", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: amoeba: choose exactly one of")
+
+    @pytest.mark.parametrize("spec", ["-1:1:0,-1:1:2", "-1:1:2,-1:1:-5", "0:1:-1,0:1:-1"])
+    def test_sample_counts_at_least_one(self, capsys, spec):
+        assert cli.main(["amoeba", f"--ronkin-samples={spec}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+    def test_single_sample_axis(self, capsys):
+        code, out = run(capsys, "amoeba", "--ronkin-samples=-2:2:1,0:1:1")
+        assert code == 0
+        assert out.splitlines()[1].startswith("-2,0,")
 
 
 class TestParsing:
