@@ -38,6 +38,9 @@ from .errors import IllConditioned
 # this box.
 SEARCH_RADIUS = 25.0
 
+# 171! exceeds the largest double.
+MAX_MOMENT = 170
+
 _COORD_LIMIT = 700.0  # exp(|u|) must stay inside double range
 
 _TAU = 2.0 * math.pi
@@ -99,10 +102,14 @@ def south_moment(m: int, tol: float = 1e-10, *, budget: int = quad.DEFAULT_BUDGE
     """integral of u2^m over the south region {u in amoeba : min(0,u1) >= u2}.
 
     Integrating out u1 leaves integral(-inf, 0) -u2^m log(1 - e^{u2}) du2;
-    the closed form is (-1)^m m! zeta(m+2).
+    the closed form is (-1)^m m! zeta(m+2), which overflows a double for
+    m > MAX_MOMENT; such orders are refused before any evaluation.
     """
     if m < 0:
         raise ValueError(f"moment order must be >= 0, got {m}")
+    if m > MAX_MOMENT:
+        raise ValueError(f"moment order must be <= {MAX_MOMENT} (m! zeta(m+2) overflows a double above), "
+                         f"got {m}")
 
     def integrand(u: np.ndarray) -> np.ndarray:
         # log1p/expm1 keep the u -> 0 tail finite until the last ulp
@@ -177,53 +184,31 @@ def ronkin(u: AmoebaPoint, tol: float = 1e-9, *, budget: int = quad.DEFAULT_BUDG
     return -(scale + res.value)
 
 
-# Fixed composite rule used only to scan many points at once during the
-# coarse stage of the dual search; accuracy ~1e-5 near kinks is plenty for
-# locating a minimum that a refinement stage then polishes.
-_BATCH_PANELS = 16
-_BATCH_EDGES = np.linspace(0.0, 1.0, _BATCH_PANELS + 1)
-_BATCH_S = (
-    0.5 * (_BATCH_EDGES[:-1] + _BATCH_EDGES[1:])[:, None] + (0.5 / _BATCH_PANELS) * quad.NODES[None, :]
-).ravel()
-_BATCH_W = np.tile(quad.KRONROD_WEIGHTS, _BATCH_PANELS) * (0.5 / _BATCH_PANELS)
-_BATCH_COS2 = np.cos(math.pi * _BATCH_S) ** 2
-
-
-def _ronkin_batch(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    r = np.exp(-np.asarray(u1, dtype=float))
-    m2 = (1.0 - r[..., None]) ** 2 + 4.0 * r[..., None] * _BATCH_COS2
-    integrand = np.maximum(0.5 * np.log(m2), -np.asarray(u2, dtype=float)[..., None])
-    return -(integrand @ _BATCH_W)
-
-
 _PATTERN_STEPS = ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
 def legendre_dual(x: tuple[float, float], tol: float = 1e-9) -> float:
     """Concave conjugate of the Ronkin function at x in the standard simplex.
 
-    Minimizes u -> <x, u> - rho(u) by a coarse grid scan over the search
-    box followed by pattern refinement; the objective is convex, so local
-    descent from the grid minimum is safe.  On the simplex boundary the
-    true infimum is approached along tentacle directions and the reported
-    value carries the search-box truncation (well below 1e-3).
+    Minimizes u -> <x, u> - rho(u) by pattern search from the origin,
+    halving the step from 1 down to 1e-4 and clamping probes to the search
+    box; the objective is convex, so descent from any start is safe.  On
+    the simplex boundary the true infimum is approached along tentacle
+    directions and the reported value carries the search-box truncation
+    (well below 1e-3).
     """
     x1, x2 = float(x[0]), float(x[1])
     if x1 < -1e-12 or x2 < -1e-12 or x1 + x2 > 1.0 + 1e-12:
         raise ValueError(f"({x1}, {x2}) lies outside the standard simplex")
 
     r_box = SEARCH_RADIUS
-    n = 51
-    g1, g2 = np.meshgrid(np.linspace(-r_box, r_box, n), np.linspace(-r_box, r_box, n), indexing="ij")
-    objective = x1 * g1 + x2 * g2 - _ronkin_batch(g1, g2)
-    idx = np.unravel_index(int(np.argmin(objective)), objective.shape)
-    u1, u2 = float(g1[idx]), float(g2[idx])
+    u1, u2 = 0.0, 0.0
 
     def f(a: float, b: float) -> float:
         return x1 * a + x2 * b - ronkin(AmoebaPoint(a, b), tol)
 
     best = f(u1, u2)
-    step = 2.0 * r_box / (n - 1)
+    step = 1.0
     while step > 1e-4:
         for d1, d2 in _PATTERN_STEPS:
             a = min(max(u1 + step * d1, -r_box), r_box)

@@ -213,6 +213,7 @@ def cmd_amoeba(args: argparse.Namespace) -> str:
     if sum(getattr(args, q) is not None for q in _AMOEBA_QUERIES) != 1:
         raise ValueError("amoeba: choose exactly one of "
                          "--contains/--moment/--volume/--psi-average/--ronkin/--dual/--ronkin-samples")
+    tol = {} if args.tol is None else {"tol": args.tol}
     if args.contains is not None:
         u = amoeba.AmoebaPoint(*_parse_float_pair(args.contains))
         return _json_line({
@@ -222,7 +223,7 @@ def cmd_amoeba(args: argparse.Namespace) -> str:
             "region": amoeba.region(u).value,
         })
     if args.moment is not None:
-        res = amoeba.south_moment(args.moment, min(args.tol, 1e-10))
+        res = amoeba.south_moment(args.moment, **tol)
         return _json_line({
             "m": args.moment,
             "value": res.value,
@@ -230,21 +231,21 @@ def cmd_amoeba(args: argparse.Namespace) -> str:
             "evaluations": res.evaluations,
         })
     if args.volume:
-        return _json_line({"volume": amoeba.volume()})
+        return _json_line({"volume": amoeba.volume(**tol)})
     if args.psi_average:
-        return _json_line({"psi_average": amoeba.psi_average()})
+        return _json_line({"psi_average": amoeba.psi_average(**tol)})
     if args.ronkin is not None:
         u = amoeba.AmoebaPoint(*_parse_float_pair(args.ronkin))
-        return _json_line({"u1": u.u1, "u2": u.u2, "ronkin": amoeba.ronkin(u, args.tol)})
+        return _json_line({"u1": u.u1, "u2": u.u2, "ronkin": amoeba.ronkin(u, **tol)})
     if args.dual is not None:
         x = _parse_float_pair(args.dual)
-        return _json_line({"x1": x[0], "x2": x[1], "value": amoeba.legendre_dual(x, args.tol)})
+        return _json_line({"x1": x[0], "x2": x[1], "value": amoeba.legendre_dual(x, **tol)})
     spec1, spec2 = args.ronkin_samples.split(",")
     axis1, axis2 = _sample_axis(spec1), _sample_axis(spec2)
     lines = ["u1,u2,ronkin"]
     for u1 in axis1:
         for u2 in axis2:
-            rho = amoeba.ronkin(amoeba.AmoebaPoint(u1, u2), args.tol)
+            rho = amoeba.ronkin(amoeba.AmoebaPoint(u1, u2), **tol)
             lines.append(f"{format(u1, '.17g')},{format(u2, '.17g')},{format(rho, '.17g')}")
     return "\n".join(lines) + "\n"
 
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ronkin", help="u1,u2")
     p.add_argument("--dual", help="x1,x2 in the standard simplex")
     p.add_argument("--ronkin-samples", help="LO:HI:N,LO:HI:N lattice, CSV output")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, help="default: 1e-9 for --ronkin/--dual/--ronkin-samples, 1e-10 otherwise")
     p.add_argument("--out")
     p.set_defaults(run=cmd_amoeba)
 

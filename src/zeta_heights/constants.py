@@ -97,9 +97,13 @@ def special_values() -> SpecialValues:
     )
 
 
+def chord(u: np.ndarray) -> np.ndarray:
+    """The chord length |e^{iu} - 1| = |2 sin(u/2)|."""
+    return np.abs(2.0 * np.sin(0.5 * u))
+
+
 def _log_dist(u: np.ndarray) -> np.ndarray:
-    # log |e^{iu} - 1| = log(2 |sin(u/2)|)
-    return np.log(np.abs(2.0 * np.sin(0.5 * u)))
+    return np.log(chord(u))
 
 
 def limit_integral(tol: float = 1e-10, *, budget: int = quad.DEFAULT_BUDGET) -> quad.QuadResult:

@@ -114,10 +114,7 @@ def _segment_breaks(seg: Segment) -> list[float]:
 
 
 def _torus_log_max(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    t1 = np.abs(2.0 * np.sin(0.5 * u1))
-    t2 = np.abs(2.0 * np.sin(0.5 * u2))
-    td = np.abs(2.0 * np.sin(0.5 * (u2 - u1)))
-    return np.log(np.maximum(np.maximum(td, t2), t1))
+    return np.log(np.maximum(np.maximum(constants.chord(u2 - u1), constants.chord(u2)), constants.chord(u1)))
 
 
 def limit_height(curve: TorsionCurve, tol: float = 1e-10, *, budget: int = quad.DEFAULT_BUDGET) -> float:

@@ -14,6 +14,8 @@ ZETA_HEIGHTS_THREADS variable are accepted and have no effect.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -77,13 +79,11 @@ class DistStats:
 def _rep_codes(d: int) -> np.ndarray:
     """Canonical representative code (r1*d + r2) for every cell, vectorized."""
     c1g, c2g = np.meshgrid(np.arange(d, dtype=np.int64), np.arange(d, dtype=np.int64), indexing="ij")
-    best = None
-    for m in symmetry.matrices():
-        i1 = (m[0][0] * c1g + m[0][1] * c2g) % d
-        i2 = (m[1][0] * c1g + m[1][1] * c2g) % d
-        code = i1 * d + i2
-        best = code if best is None else np.minimum(best, code)
-    return best
+    # A running minimum, updated in place, over codes that starmap holds no
+    # reference to: a few d x d arrays are alive at once, never all twelve
+    # (1.6 GB at MAX_D).
+    codes = itertools.starmap(lambda i1, i2: i1 * d + i2, symmetry.images(c1g, c2g, d))
+    return functools.reduce(lambda best, code: np.minimum(best, code, out=best), codes)
 
 
 def compute_grid(d: int, threads: int | None = None) -> HeightGrid:

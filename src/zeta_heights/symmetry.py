@@ -14,31 +14,28 @@ lexicographically smallest member.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import NontrivialityError
 
 Pair = tuple[int, int]
 _Matrix = tuple[tuple[int, int], tuple[int, int]]
 
-_ALPHA: _Matrix = ((0, 1), (1, 0))
-_BETA: _Matrix = ((0, -1), (1, -1))
-_GAMMA: _Matrix = ((-1, 0), (0, -1))
-_ID: _Matrix = ((1, 0), (0, 1))
-
-
-def _matmul(a: _Matrix, b: _Matrix) -> _Matrix:
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
-
-
-def _matpow(m: _Matrix, k: int) -> _Matrix:
-    out = _ID
-    for _ in range(k):
-        out = _matmul(m, out)
-    return out
+# alpha^e1 * beta^e2 * gamma^e3 for (e1, e2, e3) in lexicographic order,
+# so the element (e1, e2, e3) sits at index 6*e1 + 2*e2 + e3.
+_MATRICES: tuple[_Matrix, ...] = (
+    ((1, 0), (0, 1)),
+    ((-1, 0), (0, -1)),
+    ((0, -1), (1, -1)),
+    ((0, 1), (-1, 1)),
+    ((-1, 1), (-1, 0)),
+    ((1, -1), (1, 0)),
+    ((0, 1), (1, 0)),
+    ((0, -1), (-1, 0)),
+    ((1, -1), (0, -1)),
+    ((-1, 1), (0, 1)),
+    ((-1, 0), (-1, 1)),
+    ((1, 0), (1, -1)),
+)
 
 
 @dataclass(frozen=True)
@@ -55,10 +52,9 @@ class SymmetryElement:
 
     @property
     def matrix(self) -> _Matrix:
-        return _matmul(_matpow(_ALPHA, self.e1), _matmul(_matpow(_BETA, self.e2), _matpow(_GAMMA, self.e3)))
+        return _MATRICES[6 * self.e1 + 2 * self.e2 + self.e3]
 
 
-@lru_cache(maxsize=1)
 def elements() -> tuple[SymmetryElement, ...]:
     """All twelve group elements, in lexicographic (e1, e2, e3) order."""
     return tuple(
@@ -66,9 +62,17 @@ def elements() -> tuple[SymmetryElement, ...]:
     )
 
 
-@lru_cache(maxsize=1)
 def matrices() -> tuple[_Matrix, ...]:
-    return tuple(g.matrix for g in elements())
+    return _MATRICES
+
+
+def images(c1, c2, d: int):
+    """The twelve images g.(c1, c2) mod d, in elements() order.
+
+    c1 and c2 may be ints or integer arrays of one shape.
+    """
+    for (m11, m12), (m21, m22) in _MATRICES:
+        yield (m11 * c1 + m12 * c2) % d, (m21 * c1 + m22 * c2) % d
 
 
 def apply(g: SymmetryElement, c: Pair, d: int) -> Pair:
@@ -88,8 +92,7 @@ def _check_nontrivial(c: Pair, d: int) -> None:
 def orbit(c: Pair, d: int) -> set[Pair]:
     """The set {g.c : g in the group}; its size divides 12."""
     _check_nontrivial(c, d)
-    c1, c2 = c[0] % d, c[1] % d
-    return {((m[0][0] * c1 + m[0][1] * c2) % d, (m[1][0] * c1 + m[1][1] * c2) % d) for m in matrices()}
+    return set(images(c[0] % d, c[1] % d, d))
 
 
 def canonical_representative(c: Pair, d: int) -> Pair:

@@ -85,6 +85,15 @@ class TestSouthMoments:
         with pytest.raises(ValueError):
             amoeba.south_moment(-1)
 
+    @pytest.mark.parametrize("m", [171, 400])
+    def test_overflowing_orders_refused_up_front(self, monkeypatch, m):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(amoeba.quad, "integrate_semiinfinite", no_quadrature)
+        with pytest.raises(ValueError, match="overflows"):
+            amoeba.south_moment(m)
+
 
 class TestVolume:
     def test_closed_form(self):
@@ -174,6 +183,15 @@ class TestLegendreDual:
         # -ronkin(0,0), though only the oracle value is asserted here
         got = amoeba.legendre_dual((1.0 / 3.0, 1.0 / 3.0))
         assert abs(got - 0.3230659472194505) <= 1e-6
+
+    @pytest.mark.parametrize("x, expected", [
+        ((0.2, 0.3), 0.2836412401399345),
+        ((0.6, 0.1), 0.20427427555674244),
+        ((0.05, 0.8), 0.10997269842528021),
+        ((0.872195468024335, 0.01851721767021075), 0.05244998452242064),
+    ])
+    def test_frozen_values(self, x, expected):
+        assert abs(amoeba.legendre_dual(x) - expected) <= 1e-9
 
     def test_nonnegative_on_simplex(self):
         rng = np.random.default_rng(17)

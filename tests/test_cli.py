@@ -1,6 +1,7 @@
 import json
 import math
 import threading
+import warnings
 
 import pytest
 
@@ -234,6 +235,26 @@ class TestAmoeba:
         rec = json.loads(out)
         assert abs(rec["value"] + 1.2020569) <= 1e-7
 
+    def test_moment_honours_tol(self, capsys):
+        _, default = run(capsys, "amoeba", "--moment", "1")
+        _, loose = run(capsys, "amoeba", "--moment", "1", "--tol", "1e-6")
+        assert json.loads(default)["evaluations"] == 5145
+        assert json.loads(loose)["evaluations"] == 1515
+
+    def test_volume_honours_tol(self, capsys):
+        _, default = run(capsys, "amoeba", "--volume")
+        _, loose = run(capsys, "amoeba", "--volume", "--tol", "1e-3")
+        assert json.loads(default)["volume"] != json.loads(loose)["volume"]
+
+    @pytest.mark.parametrize("m", ["171", "400"])
+    def test_overflowing_moment_exits_2(self, capsys, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["amoeba", "--moment", m]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: moment order must be <= 170") and "Warning" not in err
+
     def test_membership(self, capsys):
         code, out = run(capsys, "amoeba", "--contains", "0,0")
         rec = json.loads(out)
@@ -314,16 +335,21 @@ class TestParseHelpers:
 
 class TestCrossProcessDeterminism:
     def test_pgm_identical_across_interpreter_runs(self, tmp_path):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        # the child imports the package from where this process found it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         blobs = []
         for name in ("x.pgm", "y.pgm"):
             path = tmp_path / name
             proc = subprocess.run(
                 [sys.executable, "-m", "zeta_heights.cli", "grid", "--d", "40",
                  "--format", "pgm", "--out", str(path)],
-                capture_output=True,
+                capture_output=True, env=env,
             )
             assert proc.returncode == 0, proc.stderr
             blobs.append(path.read_bytes())

@@ -28,19 +28,36 @@ def bfs_orbit(c, d):
     return seen
 
 
+def matmul(a, b):
+    return (
+        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
+        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
+    )
+
+
+def matpow(m, k):
+    out = ((1, 0), (0, 1))
+    for _ in range(k):
+        out = matmul(m, out)
+    return out
+
+
 class TestGroup:
     def test_twelve_distinct_elements(self):
         mats = symmetry.matrices()
         assert len(mats) == 12
         assert len(set(mats)) == 12
 
-    def test_closure_and_inverses(self):
-        def matmul(a, b):
-            return (
-                (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-                (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-            )
+    def test_table_matches_generator_words(self):
+        alpha, beta, gamma = ((0, 1), (1, 0)), ((0, -1), (1, -1)), ((-1, 0), (0, -1))
+        exponents = [(e1, e2, e3) for e1 in (0, 1) for e2 in (0, 1, 2) for e3 in (0, 1)]
+        assert [(g.e1, g.e2, g.e3) for g in symmetry.elements()] == exponents
+        for e1, e2, e3 in exponents:
+            word = matmul(matpow(alpha, e1), matmul(matpow(beta, e2), matpow(gamma, e3)))
+            assert symmetry.SymmetryElement(e1, e2, e3).matrix == word
+        assert symmetry.matrices() == tuple(g.matrix for g in symmetry.elements())
 
+    def test_closure_and_inverses(self):
         mats = set(symmetry.matrices())
         ident = ((1, 0), (0, 1))
         for a in mats:
