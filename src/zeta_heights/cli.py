@@ -7,6 +7,7 @@ All file formats are deterministic byte-for-byte for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -250,6 +251,9 @@ def cmd_amoeba(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Built once per process.  Subcommands dispatch by name to the module-level
+# cmd_* at call time, so a handler rebound after the first call is still used.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zeta-heights",
@@ -260,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("height", help="height of one torsion point")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--c", required=True, help="c1,c2")
-    p.set_defaults(run=cmd_height, out=None)
+    p.set_defaults(out=None)
 
     p = sub.add_parser("grid", help="full d x d height grid")
     p.add_argument("--d", type=int, required=True)
@@ -268,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--threads", type=int)
     p.add_argument("--epsilon", type=float, default=0.1)
-    p.set_defaults(run=cmd_grid)
 
     p = sub.add_parser("stats", help="distribution statistics over a range of d")
     p.add_argument("--d-range", required=True, help="LO:HI or LO:HI:STEP")
@@ -276,10 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.add_argument("--out")
     p.add_argument("--threads", type=int)
-    p.set_defaults(run=cmd_stats)
 
     p = sub.add_parser("constants", help="special values as JSON")
-    p.set_defaults(run=cmd_constants, out=None)
+    p.set_defaults(out=None)
 
     p = sub.add_parser("limits", help="convergence of witness heights to the limit")
     p.add_argument("--d-list", help="comma-separated moduli, strictly increasing")
@@ -291,13 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.add_argument("--out")
-    p.set_defaults(run=cmd_limits)
 
     p = sub.add_parser("curve", help="segment-average limit height of a torsion curve")
     p.add_argument("--a", required=True, help="a1,a2 (primitive)")
     p.add_argument("--e", type=int, default=1)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(run=cmd_curve, out=None)
+    p.set_defaults(out=None)
 
     p = sub.add_parser("amoeba", help="amoeba membership, moments, Ronkin values")
     p.add_argument("--contains", help="u1,u2")
@@ -309,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ronkin-samples", help="LO:HI:N,LO:HI:N lattice, CSV output")
     p.add_argument("--tol", type=float, help="default: 1e-9 for --ronkin/--dual/--ronkin-samples, 1e-10 otherwise")
     p.add_argument("--out")
-    p.set_defaults(run=cmd_amoeba)
 
     return parser
 
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = args.run(args)
+        text = globals()[f"cmd_{args.subcommand}"](args)
     except (ValueError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -149,6 +149,19 @@ class TestStats:
         assert len(out.strip().splitlines()) == 4
 
 
+class TestParserCache:
+    def test_parser_built_once(self, capsys):
+        cli.build_parser.cache_clear()
+        run(capsys, "height", "--d", "5", "--c", "1,2")
+        run(capsys, "constants")
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_dispatch_sees_rebound_handler(self, capsys, monkeypatch):
+        run(capsys, "height", "--d", "5", "--c", "1,2")
+        monkeypatch.setattr(cli, "cmd_height", lambda args: f"patched {args.d}\n")
+        assert run(capsys, "height", "--d", "5", "--c", "1,2") == (0, "patched 5\n")
+
+
 class TestFormatChoices:
     def test_pgm_restricted_to_grid(self, capsys):
         for argv in (["stats", "--d-range", "2:3", "--format", "pgm"],

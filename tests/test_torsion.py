@@ -5,6 +5,8 @@ from math import fsum, gcd, log, pi
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zeta_heights import arith, torsion
 from zeta_heights.errors import NontrivialityError
@@ -28,6 +30,20 @@ def oracle_total(d: int, c1: int, c2: int) -> float:
     e = d // gcd(gcd(c1, c2), d)
     lam = arith.von_mangoldt(e)
     return arch + (0.0 if lam.is_zero else -lam.value / arith.euler_phi(e))
+
+
+def full_orbit_archimedean(pt: TorsionPoint) -> float:
+    """Galois average over every unit of the order, with no k <-> e - k halving.
+
+    math.fsum over all phi(e) units from arith.modular_units of the log of the
+    largest folded distance from torsion._root_distances, divided by phi(e).
+    """
+    e, c1, c2 = torsion._reduced(pt)
+    k = np.array(arith.modular_units(e), dtype=np.int64)
+    t1 = torsion._root_distances((c1 * k) % e, e)
+    t2 = torsion._root_distances((c2 * k) % e, e)
+    td = torsion._root_distances(((c2 - c1) * k) % e, e)
+    return fsum(np.log(np.maximum(np.maximum(td, t2), t1)).tolist()) / len(k)
 
 
 class TestTorsionPoint:
@@ -92,6 +108,45 @@ class TestArchimedeanHeight:
         arch = torsion.archimedean_height(pt)
         assert abs(arch + torsion.nonarchimedean_height(pt)) <= 1e-14
         assert abs(arch - log(3) / 2) <= 1e-14
+
+
+class TestUnitsSieve:
+    def test_matches_modular_units(self):
+        for e in [*range(1, 3001), 2**19, 3**12, 999983, 993300, 510510]:
+            got = torsion._units_array(e)
+            want = np.array(arith.modular_units(e))
+            assert got.dtype == want.dtype, e
+            assert np.array_equal(got, want), e
+
+    def test_order_checked_before_factorising(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"factorised {n}")
+
+        monkeypatch.setattr(arith, "_factorize", refuse)
+        with pytest.raises(ValueError, match="exceeds"):
+            torsion._units_array(torsion.MAX_ORDER + 1)
+
+
+class TestHalfOrbit:
+    @pytest.mark.parametrize("e", [2, 3, 4, 5, 6, 12, 30, 210, 30030, 100003])
+    def test_matches_full_orbit_bit_for_bit(self, e):
+        rng = random.Random(e)
+        p = arith._factorize(e)[0][0]
+        # c2 = 0 and c1 == c2 have height 0; (1, p) has a non-unit c2 when e is composite
+        pairs = [(1, 0), (0, 1), (1, 1), (1, p), (1, e - 1), (p, 1)]
+        pairs += [(rng.randrange(e), rng.randrange(e)) for _ in range(6)]
+        for c1, c2 in pairs:
+            if (c1 % e, c2 % e) == (0, 0):
+                continue
+            pt = TorsionPoint(e, c1, c2)
+            assert torsion.archimedean_height(pt) == full_orbit_archimedean(pt), (c1, c2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(e=st.integers(2, 5000), c1=st.integers(0, 4999), c2=st.integers(0, 4999))
+    def test_matches_full_orbit_on_primitive_pairs(self, e, c1, c2):
+        assume(gcd(gcd(c1, c2), e) == 1)
+        pt = TorsionPoint(e, c1, c2)
+        assert torsion.archimedean_height(pt) == full_orbit_archimedean(pt)
 
 
 class TestNonArchimedeanHeight:
