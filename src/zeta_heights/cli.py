@@ -14,7 +14,7 @@ import sys
 
 from . import amoeba, constants, curves, grid
 from .quad import BudgetExceeded
-from .torsion import LOG2, TorsionPoint, classify_extremal, order, total_height
+from .torsion import LOG2, MAX_ORDER, TorsionPoint, classify_extremal, order, total_height
 
 FORMATS = ("csv", "pgm", "json")
 
@@ -50,6 +50,8 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _primes_in(lo: int, hi: int) -> list[int]:
+    if hi > MAX_ORDER:
+        raise ValueError(f"--primes: HI {hi} exceeds the largest order with a height, {MAX_ORDER}")
     sieve = bytearray([1]) * (hi + 1)
     sieve[:2] = b"\x00\x00"
     for p in range(2, math.isqrt(hi) + 1):

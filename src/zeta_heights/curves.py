@@ -1,27 +1,35 @@
 """Torsion curves, their segment-average limit heights, and convergence experiments.
 
-For a primitive integer vector a = (a1, a2) and e >= 1, the union of
-torsion curves cut out by the e-th cyclotomic polynomial of the character
-chi^a meets the argument torus in phi(e) parallel closed geodesics
-
-    {u : a1*u1 + a2*u2 = 2*pi*j/e (mod 2*pi)},  j a unit mod e.
-
-Averaging log max(|e^{i u2}-e^{i u1}|, |e^{i u2}-1|, |e^{i u1}-1|) over
-those segments gives the limit of the heights along strict sequences of
-torsion points on the curve; ``limit_height`` computes it by quadrature.
+For a primitive a = (a1, a2) and e >= 1, the torsion curve chi^a = zeta_e
+is described in one unimodular basis of Z^2 (``_basis``): the direction
+(p, q) = (-a2, a1), killed by chi^a, and a Bezout vector (r, s) with
+a1*r + a2*s = 1, so that chi^a maps t*(p, q) + u*(r, s) to u.  The curve
+meets the argument torus in the phi(e) geodesics
+u(w) = 2*pi*(w*p + j*r/e, w*q + j*s/e), j a unit mod e; the average of
+log max(|e^{i u2}-e^{i u1}|, |e^{i u2}-1|, |e^{i u1}-1|) over them is the
+limit of heights along strict sequences on the curve (``limit_height``).
+Its d-torsion points are the d*phi(e) pairs t*(p, q) + (d/e)*j*(r, s)
+mod d (``sample_on_curve``), listed without a d x d array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from . import arith, constants, quad
 from .errors import EmptyIntersection
 from .torsion import TorsionPoint, order, total_height
+
+# Largest phi(e)*(|a1| + |a2| + |a1 + a2|), the break points limit_height
+# integrates across; at about 0.6 ms each on a 2-core Xeon, about 6 s.
+MAX_CURVE_BREAKS = 10**4
+
+# Largest d*phi(e), the number of d-torsion points of a curve that are
+# enumerated; 32 bytes each, so _curve_witness peaks at 305 MiB here.
+MAX_CURVE_POINTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -41,30 +49,6 @@ class TorsionCurve:
             raise ValueError(f"e must be >= 1, got {self.e}")
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One geodesic, parameterized as u(w) = 2*pi*(w*p + o1, w*q + o2), w in [0,1].
-
-    (p, q) is a primitive lattice solution of a1*p + a2*q = 0, so w has
-    period exactly 1 and dw is the normalized Euclidean measure.
-    """
-
-    p: int
-    q: int
-    o1: Fraction
-    o2: Fraction
-
-    def point(self, w: float) -> tuple[float, float]:
-        tau = 2.0 * math.pi
-        return (tau * (w * self.p + float(self.o1)), tau * (w * self.q + float(self.o2)))
-
-
-@dataclass(frozen=True)
-class SegmentFamily:
-    curve: TorsionCurve
-    segments: tuple[Segment, ...]
-
-
 def _bezout(a: int, b: int) -> tuple[int, int]:
     """(r, s) with a*r + b*s = gcd(a, b) >= 0."""
     old_r, r = a, b
@@ -80,91 +64,87 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     return old_x, old_y
 
 
-def segment_family(curve: TorsionCurve) -> SegmentFamily:
-    """The phi(e) segments of the curve on the argument torus."""
-    p, q = -curve.a2, curve.a1
-    r, s = _bezout(curve.a1, curve.a2)
-    segs = []
-    for j in arith.modular_units(curve.e):
-        segs.append(Segment(p, q, Fraction(j * r, curve.e), Fraction(j * s, curve.e)))
-    return SegmentFamily(curve, tuple(segs))
+def _basis(curve: TorsionCurve) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The direction (p, q) = (-a2, a1) and the Bezout vector (r, s), a1*r + a2*s = 1."""
+    return (-curve.a2, curve.a1), _bezout(curve.a1, curve.a2)
 
 
-def _lattice_hits(m: int, offset: Fraction) -> list[float]:
-    """Solutions w in (0, 1) of w*m + offset in Z."""
-    if m == 0:
-        return []
-    lo = math.ceil(min(offset, m + offset))
-    hi = math.floor(max(offset, m + offset))
-    out = []
-    for k in range(lo, hi + 1):
-        w = Fraction(k - offset, m)
-        if 0 < w < 1:
-            out.append(float(w))
-    return out
+def segment_offsets(curve: TorsionCurve) -> list[tuple[int, int]]:
+    """Offset numerators (j*r, j*s) of the phi(e) segments, j the units mod e in ascending order.
+
+    The segment of j is u(w) = 2*pi*(w*p + j*r/e, w*q + j*s/e), w in [0, 1]; w
+    has period exactly 1 and dw is the normalized Euclidean measure.
+    """
+    _, (r, s) = _basis(curve)
+    return [(j * r, j * s) for j in arith.modular_units(curve.e)]
 
 
-def _segment_breaks(seg: Segment) -> list[float]:
+def _lattice_hits(m: int, n: int, e: int) -> list[float]:
+    """Solutions w in (0, 1) of w*m + n/e in Z: the correctly rounded (k*e - n)/(m*e)."""
+    lo, hi = sorted((n, n + m * e))
+    return [(k * e - n) / (m * e) for k in range(lo // e + 1, (hi - 1) // e + 1)]
+
+
+def _segment_breaks(p: int, q: int, n1: int, n2: int, e: int) -> list[float]:
     """Parameters where any of the three distances vanishes (kinks or singularities)."""
-    breaks: set[float] = set()
-    breaks.update(_lattice_hits(seg.p, seg.o1))
-    breaks.update(_lattice_hits(seg.q, seg.o2))
-    breaks.update(_lattice_hits(seg.p - seg.q, seg.o1 - seg.o2))
-    return sorted(breaks)
-
-
-def _torus_log_max(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(np.maximum(constants.chord(u2 - u1), constants.chord(u2)), constants.chord(u1)))
+    return sorted({*_lattice_hits(p, n1, e), *_lattice_hits(q, n2, e), *_lattice_hits(p - q, n1 - n2, e)})
 
 
 def limit_height(curve: TorsionCurve, tol: float = 1e-10, *, budget: int = quad.DEFAULT_BUDGET) -> float:
-    """Segment-average of the torus height integrand along the curve.
+    """Average of the torus height integrand over the segments of the curve.
 
     This is the limit of total heights along any strict sequence of torsion
     points of the curve.  Each segment integral is evaluated by adaptive
     quadrature with the lattice points where the integrand degenerates
-    declared as break points.
+    declared as break points.  Curves with more than MAX_CURVE_BREAKS break
+    points raise ValueError before any unit of e is enumerated.
     """
-    fam = segment_family(curve)
+    (p, q), _ = _basis(curve)
+    e = curve.e
+    cost = arith.euler_phi(e) * (abs(p) + abs(q) + abs(p - q))
+    if cost > MAX_CURVE_BREAKS:
+        raise ValueError(f"{curve} has about {cost} break points, above the limit {MAX_CURVE_BREAKS}")
     per_seg = []
     tau = 2.0 * math.pi
+    for n1, n2 in segment_offsets(curve):
 
-    for seg in fam.segments:
-        o1, o2 = float(seg.o1), float(seg.o2)
+        def integrand(w: np.ndarray, o1=n1 / e, o2=n2 / e) -> np.ndarray:
+            u1, u2 = tau * (w * p + o1), tau * (w * q + o2)
+            return np.log(np.maximum(np.maximum(constants.chord(u2 - u1), constants.chord(u2)), constants.chord(u1)))
 
-        def integrand(w: np.ndarray, p=seg.p, q=seg.q, o1=o1, o2=o2) -> np.ndarray:
-            return _torus_log_max(tau * (w * p + o1), tau * (w * q + o2))
-
-        res = quad.integrate(integrand, 0.0, 1.0, tol, break_points=_segment_breaks(seg), budget=budget)
-        per_seg.append(res.value)
+        breaks = _segment_breaks(p, q, n1, n2, e)
+        per_seg.append(quad.integrate(integrand, 0.0, 1.0, tol, break_points=breaks, budget=budget).value)
     return math.fsum(per_seg) / len(per_seg)
 
 
-def strictness_ratio(a: tuple[int, int], d: int) -> Fraction:
-    """Fraction of d-torsion points killed by the character chi^a: gcd(a1, a2, d)/d."""
-    if a == (0, 0):
-        raise ValueError("character exponent must be nonzero")
+def _curve_residues(curve: TorsionCurve, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The residues (c1, c2) of ``sample_on_curve(curve, d)`` as two int64 arrays."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    return Fraction(math.gcd(math.gcd(a[0], a[1]), d), d)
+    if d % curve.e != 0:
+        raise EmptyIntersection(f"no {d}-torsion on a curve with e = {curve.e} (e does not divide d)")
+    size = d * arith.euler_phi(curve.e)
+    if size > MAX_CURVE_POINTS:
+        raise ValueError(f"the curve has {size} points of order dividing {d}, above the limit {MAX_CURVE_POINTS}")
+    (p, q), (r, s) = _basis(curve)
+    p, q, r, s = p % d, q % d, r % d, s % d
+    t = np.arange(d, dtype=np.int64)
+    codes = np.concatenate([
+        (t * p + u * r) % d * d + (t * q + u * s) % d
+        for u in ((d // curve.e) * j % d for j in arith.modular_units(curve.e))
+    ])
+    codes.sort()
+    return np.divmod(codes[1:] if curve.e == 1 else codes, d)
 
 
 def sample_on_curve(curve: TorsionCurve, d: int) -> list[TorsionPoint]:
     """All nontrivial d-torsion points on the curve, in lexicographic order.
 
     Requires e | d; the intersection has d*phi(e) points, minus the trivial
-    one when e = 1.
+    one when e = 1.  More than MAX_CURVE_POINTS points raise ValueError.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if d % curve.e != 0:
-        raise EmptyIntersection(f"no {d}-torsion on a curve with e = {curve.e} (e does not divide d)")
-    targets = {(d // curve.e) * j % d for j in arith.modular_units(curve.e)}
-    c1g, c2g = np.meshgrid(np.arange(d, dtype=np.int64), np.arange(d, dtype=np.int64), indexing="ij")
-    mask = np.isin((curve.a1 * c1g + curve.a2 * c2g) % d, sorted(targets))
-    mask[0, 0] = False
-    idx = np.argwhere(mask)
-    return [TorsionPoint(d, int(i), int(j)) for i, j in idx]
+    c1, c2 = _curve_residues(curve, d)
+    return [TorsionPoint(d, i, j) for i, j in zip(c1.tolist(), c2.tolist())]
 
 
 @dataclass(frozen=True)
@@ -197,9 +177,13 @@ def _random_witness(d: int, rng) -> TorsionPoint:
 
 
 def _curve_witness(curve: TorsionCurve, d: int) -> TorsionPoint:
-    # maximal order, ties broken by lexicographic (c1, c2)
-    pts = sample_on_curve(curve, d)
-    return min(pts, key=lambda p: (-order(p), p.c1, p.c2))
+    # maximal order d/gcd(c1, c2, d), ties broken by lexicographic (c1, c2):
+    # argmin returns the first minimum of the sorted residues
+    c1, c2 = _curve_residues(curve, d)
+    if not len(c1):
+        raise EmptyIntersection(f"no nontrivial {d}-torsion on the curve")
+    i = int(np.argmin(np.gcd(np.gcd(c1, c2), d)))
+    return TorsionPoint(d, int(c1[i]), int(c2[i]))
 
 
 def limit_experiment(

@@ -1,14 +1,86 @@
+import functools
 import math
+import tracemalloc
 from fractions import Fraction
 from math import log
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from zeta_heights import constants, curves, quad
+from zeta_heights import arith, cli, constants, curves, quad
 from zeta_heights.curves import TorsionCurve
 from zeta_heights.errors import EmptyIntersection
 from zeta_heights.torsion import TorsionPoint, order, total_height
+
+
+def strictness_ratio(a: tuple[int, int], d: int) -> Fraction:
+    """Fraction of d-torsion points killed by the character chi^a: gcd(a1, a2, d)/d."""
+    if a == (0, 0):
+        raise ValueError("character exponent must be nonzero")
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    return Fraction(math.gcd(math.gcd(a[0], a[1]), d), d)
+
+
+# Reference implementations: the d x d meshgrid sampler, the scan for the
+# witness over TorsionPoint objects, and break points from Fraction offsets.
+
+
+def ref_sample_on_curve(curve: TorsionCurve, d: int) -> list[TorsionPoint]:
+    targets = {(d // curve.e) * j % d for j in arith.modular_units(curve.e)}
+    c1g, c2g = np.meshgrid(np.arange(d, dtype=np.int64), np.arange(d, dtype=np.int64), indexing="ij")
+    mask = np.isin((curve.a1 * c1g + curve.a2 * c2g) % d, sorted(targets))
+    mask[0, 0] = False
+    return [TorsionPoint(d, int(i), int(j)) for i, j in np.argwhere(mask)]
+
+
+def ref_curve_witness(curve: TorsionCurve, d: int) -> TorsionPoint:
+    return min(ref_sample_on_curve(curve, d), key=lambda p: (-order(p), p.c1, p.c2))
+
+
+@functools.cache
+def ref_lattice_hits(m: int, offset: Fraction) -> list[float]:
+    if m == 0:
+        return []
+    lo = math.ceil(min(offset, m + offset))
+    hi = math.floor(max(offset, m + offset))
+    out = []
+    for k in range(lo, hi + 1):
+        w = Fraction(k - offset, m)
+        if 0 < w < 1:
+            out.append(float(w))
+    return out
+
+
+def ref_segment_breaks(p: int, q: int, o1: Fraction, o2: Fraction) -> list[float]:
+    return sorted({*ref_lattice_hits(p, o1), *ref_lattice_hits(q, o2), *ref_lattice_hits(p - q, o1 - o2)})
+
+
+def assert_breaks_match(curve: TorsionCurve) -> int:
+    p, q = -curve.a2, curve.a1
+    r, s = curves._bezout(curve.a1, curve.a2)
+    units = arith.modular_units(curve.e)
+    assert curves._basis(curve) == ((p, q), (r, s))
+    assert curves.segment_offsets(curve) == [(j * r, j * s) for j in units]
+    for j in units:
+        expected = ref_segment_breaks(p, q, Fraction(j * r, curve.e), Fraction(j * s, curve.e))
+        assert curves._segment_breaks(p, q, j * r, j * s, curve.e) == expected
+    return len(units)
+
+
+def assert_points_match(curve: TorsionCurve, d: int) -> None:
+    assert curves.sample_on_curve(curve, d) == ref_sample_on_curve(curve, d)
+    if d == 1:  # e = 1: the trivial point is the only one
+        with pytest.raises(ValueError):
+            curves._curve_witness(curve, d)
+    else:
+        assert curves._curve_witness(curve, d) == ref_curve_witness(curve, d)
+
+
+def primitive_directions(bound: int) -> list[tuple[int, int]]:
+    return [(a1, a2) for a1 in range(-bound, bound + 1) for a2 in range(-bound, bound + 1) if math.gcd(a1, a2) == 1]
 
 
 class TestTorsionCurve:
@@ -24,19 +96,120 @@ class TestTorsionCurve:
 class TestSegmentFamily:
     def test_segment_count_is_phi(self):
         for a, e in [((1, 0), 1), ((2, -1), 6), ((1, 1), 12)]:
-            fam = curves.segment_family(TorsionCurve(*a, e))
-            from zeta_heights.arith import euler_phi
-
-            assert len(fam.segments) == euler_phi(e)
+            assert len(curves.segment_offsets(TorsionCurve(*a, e))) == arith.euler_phi(e)
 
     def test_segments_lie_on_curve(self):
         curve = TorsionCurve(3, -2, 4)
-        fam = curves.segment_family(curve)
-        for seg, j in zip(fam.segments, (1, 3)):
+        (p, q), _ = curves._basis(curve)
+        for (n1, n2), j in zip(curves.segment_offsets(curve), (1, 3)):
             for w in (0.0, 0.25, 0.7):
-                u1, u2 = seg.point(w)
+                u1, u2 = 2 * math.pi * (w * p + n1 / curve.e), 2 * math.pi * (w * q + n2 / curve.e)
                 val = (curve.a1 * u1 + curve.a2 * u2) / (2 * math.pi) - j / curve.e
                 assert abs(val - round(val)) <= 1e-12
+
+    def test_basis_is_unimodular(self):
+        for a1, a2 in primitive_directions(12):
+            (p, q), (r, s) = curves._basis(TorsionCurve(a1, a2, 1))
+            assert a1 * p + a2 * q == 0
+            assert a1 * r + a2 * s == 1
+            assert abs(p * s - q * r) == 1
+
+
+class TestBasisAgainstReferences:
+    """The one-basis routes equal the meshgrid sampler and the Fraction break points."""
+
+    def test_break_lists(self):
+        segments = sum(assert_breaks_match(TorsionCurve(*a, e)) for a in primitive_directions(12) for e in range(1, 31))
+        assert segments == 102304
+
+    def test_points_and_witnesses(self):
+        for a in primitive_directions(6):
+            for e in (1, 2, 3, 4, 6, 12):
+                for m in (1, 2, 3, 5, 10):
+                    assert_points_match(TorsionCurve(*a, e), e * m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a1=st.integers(-40, 40), a2=st.integers(-40, 40), e=st.integers(1, 40), m=st.integers(1, 6))
+    def test_random_curves(self, a1, a2, e, m):
+        assume(math.gcd(a1, a2) == 1)
+        curve = TorsionCurve(a1, a2, e)
+        assert_breaks_match(curve)
+        assert_points_match(curve, e * m)
+
+    @pytest.mark.parametrize(
+        "a1,a2,e,bits",
+        [
+            (0, 1, 1, "0x1.18fcd9c5cf8e4p-48"),
+            (2, -1, 1, "0x1.4ad1ccb70904ep-2"),
+            (1, -2, 3, "0x1.1742a6677f658p-1"),
+            (5, -3, 7, "0x1.f5561dd64e1e3p-2"),
+            (3, 1, 4, "0x1.f62bd1bd1e113p-2"),
+            (-4, 5, 8, "0x1.f3883c7913e98p-2"),
+        ],
+    )
+    def test_limit_height_bits(self, a1, a2, e, bits):
+        # values of the Segment/Fraction implementation this one replaced
+        assert curves.limit_height(TorsionCurve(a1, a2, e)).hex() == bits
+
+    def test_witness_memory(self):
+        # the meshgrid route peaked at 274.7 MiB here
+        tracemalloc.start()
+        try:
+            pt = curves._curve_witness(TorsionCurve(2, -1, 1), 3000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (pt.c1, pt.c2) == (1, 2)
+        assert peak < 5 * 2**20
+
+
+class TestCostGuards:
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("work started before the cost guard")
+
+    def test_break_limit(self, monkeypatch):
+        monkeypatch.setattr(quad, "integrate", self.refuse)
+        monkeypatch.setattr(arith, "modular_units", self.refuse)
+        for a1, a2, e in [(1, 1000, 1000), (1, 0, 10**8), (5000, 1, 1)]:
+            with pytest.raises(ValueError, match="break points"):
+                curves.limit_height(TorsionCurve(a1, a2, e))
+
+    def test_break_limit_is_inclusive(self, monkeypatch):
+        # phi(1)*(|1| + |4999| + |5000|) is exactly MAX_CURVE_BREAKS
+        monkeypatch.setattr(quad, "integrate", lambda *args, **kwargs: quad.QuadResult(0.25, 0.0, 0))
+        assert curves.limit_height(TorsionCurve(1, 4999, 1)) == 0.25
+        with pytest.raises(ValueError, match="break points"):
+            curves.limit_height(TorsionCurve(1, 5000, 1))
+
+    def test_point_limit(self, monkeypatch):
+        monkeypatch.setattr(np, "arange", self.refuse)
+        for curve, d in [(TorsionCurve(2, -1, 1), 10**11), (TorsionCurve(1, 1, 12), 12 * 2500001)]:
+            with pytest.raises(ValueError, match="above the limit"):
+                curves.sample_on_curve(curve, d)
+            with pytest.raises(ValueError, match="above the limit"):
+                curves._curve_witness(curve, d)
+        with pytest.raises(AssertionError):  # exactly MAX_CURVE_POINTS = 5*10**6 * phi(4) points pass
+            curves._curve_witness(TorsionCurve(1, 1, 4), 5 * 10**6)
+
+    @pytest.mark.parametrize(
+        "argv,module,name",
+        [
+            (["curve", "--a", "1,1000", "--e", "1000"], quad, "integrate"),
+            (["curve", "--a", "1,0", "--e", "100000000"], arith, "modular_units"),
+            (["limits", "--a", "2,-1", "--d-list", "100000000000"], np, "arange"),
+            (["limits", "--primes", "2:100000000000"], cli, "bytearray"),
+        ],
+    )
+    def test_cli_exits_2(self, capsys, monkeypatch, argv, module, name):
+        monkeypatch.setattr(module, name, self.refuse, raising=False)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_large_curve_witnesses_finish(self, capsys):
+        # the meshgrid route needed 74.5 GiB at d = 100000
+        assert cli.main(["limits", "--a", "2,-1", "--e", "1", "--d-list", "100000,1000003"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[:4] for row in rows] == [["100000", "1", "2", "100000"], ["1000003", "1", "2", "1000003"]]
 
 
 class TestLimitHeight:
@@ -65,11 +238,11 @@ class TestStrictnessRatio:
         [((2, 4), 6, Fraction(1, 3)), ((1, 0), 10, Fraction(1, 10)), ((3, 3), 9, Fraction(1, 3))],
     )
     def test_examples(self, a, d, expected):
-        assert curves.strictness_ratio(a, d) == expected
+        assert strictness_ratio(a, d) == expected
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            curves.strictness_ratio((0, 0), 5)
+            strictness_ratio((0, 0), 5)
 
 
 class TestSampleOnCurve:
@@ -86,11 +259,9 @@ class TestSampleOnCurve:
             curves.sample_on_curve(TorsionCurve(1, 0, 3), 4)
 
     def test_cardinality(self):
-        from zeta_heights.arith import euler_phi
-
         for a, e, d in [((2, -1), 1, 7), ((1, 1), 2, 8), ((1, -2), 3, 9), ((0, 1), 4, 12)]:
             pts = curves.sample_on_curve(TorsionCurve(*a, e), d)
-            assert len(pts) == d * euler_phi(e) - (1 if e == 1 else 0)
+            assert len(pts) == d * arith.euler_phi(e) - (1 if e == 1 else 0)
 
     def test_points_satisfy_character_condition(self):
         curve = TorsionCurve(1, -2, 3)
@@ -145,7 +316,7 @@ class TestLimitExperiment:
 class TestDomainGuards:
     def test_bad_modulus(self):
         with pytest.raises(ValueError):
-            curves.strictness_ratio((1, 2), 0)
+            strictness_ratio((1, 2), 0)
         with pytest.raises(ValueError):
             curves.sample_on_curve(TorsionCurve(1, 0, 1), 0)
 
