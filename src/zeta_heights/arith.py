@@ -111,6 +111,22 @@ def euler_phi(n: int) -> int:
     return out
 
 
+def dedekind_psi(n: int) -> int:
+    """Dedekind psi, n times the product of (1 + 1/p): the number of points of P^1(Z/n)."""
+    out = n
+    for p, _ in _factorize(n):
+        out += out // p
+    return out
+
+
+def divisors(n: int) -> list[int]:
+    """Ascending divisors of n >= 1."""
+    out = [1]
+    for p, r in _factorize(n):
+        out = [m * p**i for m in out for i in range(r + 1)]
+    return sorted(out)
+
+
 def von_mangoldt(n: int) -> ExactLog:
     """log(p) if n is a power of the prime p, exact zero otherwise."""
     if n < 1:

@@ -10,7 +10,10 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
+
+import numpy as np
 
 from . import amoeba, constants, curves, grid
 from .quad import BudgetExceeded
@@ -19,31 +22,21 @@ from .torsion import LOG2, MAX_ORDER, TorsionPoint, classify_extremal, order, to
 FORMATS = ("csv", "pgm", "json")
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected two comma-separated integers, got {text!r}")
-    return int(parts[0]), int(parts[1])
-
-
-def _parse_float_pair(text: str) -> tuple[float, float]:
+def _parse_pair(text: str, kind: type = int) -> tuple:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected two comma-separated numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    return kind(parts[0]), kind(parts[1])
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> range:
     parts = [int(p) for p in text.split(":")]
-    if len(parts) == 2:
-        lo, hi, step = parts[0], parts[1], 1
-    elif len(parts) == 3:
-        lo, hi, step = parts
-    else:
+    if len(parts) not in (2, 3):
         raise ValueError(f"expected LO:HI or LO:HI:STEP, got {text!r}")
+    lo, hi, step = (parts + [1])[:3]
     if step < 1:
         raise ValueError("step must be >= 1")
-    out = list(range(lo, hi + 1, step))
+    out = range(lo, hi + 1, step)
     if not out:
         raise ValueError(f"range {text!r} is empty")
     return out
@@ -63,9 +56,20 @@ def _primes_in(lo: int, hi: int) -> list[int]:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="ascii") as fh:
+        return
+    # A regular file is written beside itself and renamed over, so a failed
+    # write leaves it as it was; a device or a pipe is written in place.
+    regular = os.path.isfile(out) or not os.path.exists(out)
+    target = os.path.realpath(out) if regular else out
+    tmp = f"{target}.{os.getpid()}.tmp" if regular else out
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
             fh.write(text)
+        if regular:
+            os.replace(tmp, target)
+    finally:
+        if regular and os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _json_line(payload: dict) -> str:
@@ -75,90 +79,46 @@ def _json_line(payload: dict) -> str:
 def cmd_height(args: argparse.Namespace) -> str:
     pt = TorsionPoint(args.d, *_parse_pair(args.c))
     parts = total_height(pt)
-    return _json_line({
-        "d": pt.d,
-        "c1": pt.c1,
-        "c2": pt.c2,
-        "order": order(pt),
-        "archimedean": parts.archimedean,
-        "nonarchimedean": parts.nonarchimedean,
-        "total": parts.total,
-        "classification": classify_extremal(pt).value,
-    })
+    return _json_line({**vars(pt), "order": order(pt), "archimedean": parts.archimedean,
+                       "nonarchimedean": parts.nonarchimedean, "total": parts.total,
+                       "classification": classify_extremal(pt).value})
 
 
 def grid_csv(g: grid.HeightGrid) -> str:
-    lines = ["c1,c2,height"]
-    for c1 in range(g.d):
-        for c2 in range(g.d):
-            if (c1, c2) == (0, 0):
-                continue
-            lines.append(f"{c1},{c2},{format(float(g.values[c1, c2]), '.17g')}")
-    return "\n".join(lines) + "\n"
+    cells = [f"{c1},{c2},{h:.17g}" for c1, row in enumerate(g.values.tolist()) for c2, h in enumerate(row)]
+    return "\n".join(["c1,c2,height", *cells[1:]]) + "\n"  # cells[0] is the sentinel (0,0)
 
 
 def grid_pgm(g: grid.HeightGrid) -> str:
     # rows top to bottom are c2 = 0 .. d-1; pixel scale maps log 2 to 255
-    lines = ["P2", f"{g.d} {g.d}", "255"]
-    for c2 in range(g.d):
-        row = []
-        for c1 in range(g.d):
-            if (c1, c2) == (0, 0):
-                row.append(0)
-            else:
-                level = math.floor(255.0 * float(g.values[c1, c2]) / LOG2 + 0.5)
-                row.append(min(255, max(0, level)))
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _stats_payload(st: grid.DistStats) -> dict:
-    return {
-        "d": st.d,
-        "eps": st.eps,
-        "mean": st.mean,
-        "min": st.min,
-        "max": st.max,
-        "count_near_eta": st.count_near_eta,
-        "count_near_theta": st.count_near_theta,
-        "count_zero": st.count_zero,
-        "histogram": list(st.histogram),
-    }
+    levels = np.floor(255.0 * g.values.T / LOG2 + 0.5)
+    levels[0, 0] = 0
+    rows = np.clip(levels, 0, 255).astype(np.int64).tolist()
+    return "\n".join(["P2", f"{g.d} {g.d}", "255", *(" ".join(map(str, row)) for row in rows)]) + "\n"
 
 
 def cmd_grid(args: argparse.Namespace) -> str:
+    if args.format == "json":
+        if args.d > grid.MAX_D:  # the grid limit holds for every format
+            raise ValueError(f"grid needs d <= {grid.MAX_D}, got {args.d}")
+        return _json_line({"d": args.d, "stats": vars(grid.stats(args.d, args.epsilon))})
     g = grid.compute_grid(args.d)
-    if args.format == "csv":
-        return grid_csv(g)
-    if args.format == "pgm":
-        return grid_pgm(g)
-    return _json_line({"d": g.d, "stats": _stats_payload(grid.stats(g, args.epsilon))})
+    return grid_csv(g) if args.format == "csv" else grid_pgm(g)
 
 
 def cmd_stats(args: argparse.Namespace) -> str:
-    rows = [grid.stats(grid.compute_grid(d), args.epsilon) for d in _parse_range(args.d_range)]
+    ds = _parse_range(args.d_range)
+    grid.check_stats_cost(ds)
+    rows = [grid.stats(d, args.epsilon) for d in ds]
     if args.format == "json":
-        return _json_line({"epsilon": args.epsilon, "rows": [_stats_payload(st) for st in rows]})
-    lines = ["d,mean,ratio_near_eta,min,max,count_zero"]
-    for st in rows:
-        ratio = st.count_near_eta / (st.d * st.d - 1)
-        lines.append(
-            f"{st.d},{format(st.mean, '.17g')},{format(ratio, '.17g')},"
-            f"{format(st.min, '.17g')},{format(st.max, '.17g')},{st.count_zero}"
-        )
-    return "\n".join(lines) + "\n"
+        return _json_line({"epsilon": args.epsilon, "rows": [vars(st) for st in rows]})
+    lines = [f"{st.d},{st.mean:.17g},{st.count_near_eta / (st.d * st.d - 1):.17g},{st.min:.17g},{st.max:.17g},"
+             f"{st.count_zero}" for st in rows]
+    return "\n".join(["d,mean,ratio_near_eta,min,max,count_zero", *lines]) + "\n"
 
 
 def cmd_constants(args: argparse.Namespace) -> str:
-    sv = constants.special_values()
-    return _json_line({
-        "zeta2": sv.zeta2,
-        "zeta3": sv.zeta3,
-        "zeta4": sv.zeta4,
-        "L_chi3_2": sv.L_chi3_2,
-        "eta": sv.eta,
-        "theta": sv.theta,
-    })
+    return _json_line(vars(constants.special_values()))
 
 
 def cmd_limits(args: argparse.Namespace) -> str:
@@ -178,26 +138,14 @@ def cmd_limits(args: argparse.Namespace) -> str:
         raise ValueError("limits: --e needs --a")
     exp = curves.limit_experiment(curve, d_range, args.tol, random_witness=args.random_witness, seed=args.seed)
     if args.format == "json":
-        return _json_line({
-            "limit": exp.limit,
-            "rows": [
-                {"d": r.d, "c1": r.c1, "c2": r.c2, "order": r.order, "height": r.height, "gap": r.gap}
-                for r in exp.rows
-            ],
-        })
-    lines = ["d,c1,c2,order,height,gap,limit"]
-    for r in exp.rows:
-        lines.append(
-            f"{r.d},{r.c1},{r.c2},{r.order},{format(r.height, '.17g')},"
-            f"{format(r.gap, '.17g')},{format(exp.limit, '.17g')}"
-        )
-    return "\n".join(lines) + "\n"
+        return _json_line({"limit": exp.limit, "rows": [vars(r) for r in exp.rows]})
+    lines = [f"{r.d},{r.c1},{r.c2},{r.order},{r.height:.17g},{r.gap:.17g},{exp.limit:.17g}" for r in exp.rows]
+    return "\n".join(["d,c1,c2,order,height,gap,limit", *lines]) + "\n"
 
 
 def cmd_curve(args: argparse.Namespace) -> str:
     curve = curves.TorsionCurve(*_parse_pair(args.a), args.e)
-    value = curves.limit_height(curve, args.tol)
-    return _json_line({"a1": curve.a1, "a2": curve.a2, "e": curve.e, "value": value})
+    return _json_line({**vars(curve), "value": curves.limit_height(curve, args.tol)})
 
 
 def _sample_axis(spec: str) -> list[float]:
@@ -218,38 +166,25 @@ def cmd_amoeba(args: argparse.Namespace) -> str:
                          "--contains/--moment/--volume/--psi-average/--ronkin/--dual/--ronkin-samples")
     tol = {} if args.tol is None else {"tol": args.tol}
     if args.contains is not None:
-        u = amoeba.AmoebaPoint(*_parse_float_pair(args.contains))
-        return _json_line({
-            "u1": u.u1,
-            "u2": u.u2,
-            "contains": amoeba.contains(u),
-            "region": amoeba.region(u).value,
-        })
+        u = amoeba.AmoebaPoint(*_parse_pair(args.contains, float))
+        return _json_line({**vars(u), "contains": amoeba.contains(u), "region": amoeba.region(u).value})
     if args.moment is not None:
-        res = amoeba.south_moment(args.moment, **tol)
-        return _json_line({
-            "m": args.moment,
-            "value": res.value,
-            "err_estimate": res.err_estimate,
-            "evaluations": res.evaluations,
-        })
+        return _json_line({"m": args.moment, **vars(amoeba.south_moment(args.moment, **tol))})
     if args.volume:
         return _json_line({"volume": amoeba.volume(**tol)})
     if args.psi_average:
         return _json_line({"psi_average": amoeba.psi_average(**tol)})
     if args.ronkin is not None:
-        u = amoeba.AmoebaPoint(*_parse_float_pair(args.ronkin))
-        return _json_line({"u1": u.u1, "u2": u.u2, "ronkin": amoeba.ronkin(u, **tol)})
+        u = amoeba.AmoebaPoint(*_parse_pair(args.ronkin, float))
+        return _json_line({**vars(u), "ronkin": amoeba.ronkin(u, **tol)})
     if args.dual is not None:
-        x = _parse_float_pair(args.dual)
+        x = _parse_pair(args.dual, float)
         return _json_line({"x1": x[0], "x2": x[1], "value": amoeba.legendre_dual(x, **tol)})
-    spec1, spec2 = args.ronkin_samples.split(",")
-    axis1, axis2 = _sample_axis(spec1), _sample_axis(spec2)
+    axis1, axis2 = (_sample_axis(spec) for spec in args.ronkin_samples.split(","))
     lines = ["u1,u2,ronkin"]
     for u1 in axis1:
         for u2 in axis2:
-            rho = amoeba.ronkin(amoeba.AmoebaPoint(u1, u2), **tol)
-            lines.append(f"{format(u1, '.17g')},{format(u2, '.17g')},{format(rho, '.17g')}")
+            lines.append(f"{u1:.17g},{u2:.17g},{amoeba.ronkin(amoeba.AmoebaPoint(u1, u2), **tol):.17g}")
     return "\n".join(lines) + "\n"
 
 

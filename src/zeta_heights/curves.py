@@ -117,8 +117,8 @@ def limit_height(curve: TorsionCurve, tol: float = 1e-10, *, budget: int = quad.
     return math.fsum(per_seg) / len(per_seg)
 
 
-def _curve_residues(curve: TorsionCurve, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The residues (c1, c2) of ``sample_on_curve(curve, d)`` as two int64 arrays."""
+def _check_modulus(curve: TorsionCurve, d: int) -> None:
+    """Refuse d unless e | d and the curve has at most MAX_CURVE_POINTS d-torsion points."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if d % curve.e != 0:
@@ -126,6 +126,11 @@ def _curve_residues(curve: TorsionCurve, d: int) -> tuple[np.ndarray, np.ndarray
     size = d * arith.euler_phi(curve.e)
     if size > MAX_CURVE_POINTS:
         raise ValueError(f"the curve has {size} points of order dividing {d}, above the limit {MAX_CURVE_POINTS}")
+
+
+def _curve_residues(curve: TorsionCurve, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The residues (c1, c2) of ``sample_on_curve(curve, d)`` as two int64 arrays."""
+    _check_modulus(curve, d)
     (p, q), (r, s) = _basis(curve)
     p, q, r, s = p % d, q % d, r % d, s % d
     t = np.arange(d, dtype=np.int64)
@@ -199,8 +204,8 @@ def limit_experiment(
     With no curve the limit is eta and the witness at each d is the
     heuristic strict point (1, isqrt(d)); with a curve the limit is its
     segment average and the witness is a point of maximal order among the
-    d-torsion points of the curve.  The gap column is reported, not
-    asserted, per row.
+    d-torsion points of the curve; every modulus is checked before the
+    limit is integrated.  The gap column is reported, not asserted, per row.
     """
     if any(b <= a for a, b in zip(d_list, d_list[1:])):
         raise ValueError("d_list must be strictly increasing")
@@ -209,6 +214,8 @@ def limit_experiment(
     if curve is None:
         limit = constants.eta()
     else:
+        for d in d_list:
+            _check_modulus(curve, d)
         limit = limit_height(curve, tol)
     rng = None
     if random_witness:

@@ -6,9 +6,9 @@ Heights over the torsion grid are invariant under the group generated by
     beta:  (c1, c2) -> (-c2, c1 - c2)
     gamma: (c1, c2) -> (-c1, -c2)
 
-subject to alpha^2 = beta^3 = gamma^2 = 1.  The twelve elements are used
-to deduplicate grid computation: each orbit is computed once at its
-lexicographically smallest member.
+subject to alpha^2 = beta^3 = gamma^2 = 1.  They permute the unit classes
+of each order, so a class table sums one class per orbit, and they map each
+grid cell to its orbit's lexicographically smallest member.
 """
 
 from __future__ import annotations

@@ -25,13 +25,15 @@ is the full Galois average to the last bit.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from . import arith
+from . import arith, symmetry
 from .errors import NontrivialityError
 
 LOG2 = math.log(2.0)
@@ -40,6 +42,41 @@ LOG2 = math.log(2.0)
 # e = 9999991 from empty caches peaks at 381.5 MiB under tracemalloc (about
 # 40 bytes per residue of the order), so one height stays under 1 GB.
 MAX_ORDER = 10**7
+
+# The per-order caches share one LRU dict, (function, e) -> array, whose
+# arrays hold at most CACHE_BYTES together: about eight unit arrays near 10^6.
+CACHE_BYTES = 64 << 20
+_cache: OrderedDict = OrderedDict()
+_cache_bytes = 0
+_cache_lock = threading.Lock()
+
+
+def _per_order(fn):
+    """Cache fn(e) by the bytes of its arrays; ``cache_clear`` drops fn's entries."""
+
+    @functools.wraps(fn)
+    def cached(e: int):
+        global _cache_bytes
+        value = _cache.get((cached, e))
+        if value is None:
+            value = fn(e)
+        with _cache_lock:
+            if (cached, e) not in _cache:
+                _cache[cached, e] = value
+                _cache_bytes += value.nbytes
+            _cache.move_to_end((cached, e))
+            while _cache_bytes > CACHE_BYTES:
+                _cache_bytes -= _cache.popitem(last=False)[1].nbytes
+        return value
+
+    def cache_clear() -> None:
+        global _cache_bytes
+        with _cache_lock:
+            for key in [key for key in _cache if key[0] is cached]:
+                _cache_bytes -= _cache.pop(key).nbytes
+
+    cached.cache_clear = cache_clear
+    return cached
 
 
 @dataclass(frozen=True)
@@ -77,14 +114,6 @@ class ProjectivePointC:
 
     coords: tuple[complex, complex, complex]
 
-    def normalized(self) -> tuple[complex, complex, complex]:
-        """Coordinates scaled by the first one of nonnegligible modulus."""
-        scale = max(abs(z) for z in self.coords)
-        if scale == 0.0:
-            raise ValueError("all coordinates vanish")
-        pivot = next(z for z in self.coords if abs(z) > 1e-14 * scale)
-        return tuple(z / pivot for z in self.coords)
-
 
 class Extremality(enum.Enum):
     MIN = "min"
@@ -109,7 +138,7 @@ def _reduced(pt: TorsionPoint) -> tuple[int, int, int]:
     return e, (pt.c1 // g) % e, (pt.c2 // g) % e
 
 
-@lru_cache(maxsize=512)
+@_per_order
 def _units_array(e: int) -> np.ndarray:
     """Ascending units of e in [1, e], sieved by the primes of e."""
     if e > MAX_ORDER:
@@ -157,11 +186,8 @@ def archimedean_height(pt: TorsionPoint) -> float:
     """Galois-orbit average of log max of the three coordinate distances.
 
     Evaluates (1/phi(e)) * sum over units k of e of
-    log max(|w2^k - w1^k|, |w2^k - 1|, |w1^k - 1|), with the orbit
-    parameterized at the level of the order e of the point.  The units k
-    and e - k give the same summand, so the sum runs over the units
-    k <= e/2 only (see ``_half_units``); the result is bit-identical to the
-    fsum over all phi(e) units.
+    log max(|w2^k - w1^k|, |w2^k - 1|, |w1^k - 1|) at the level of the
+    order e, over the units k <= e/2 only (see ``_half_units``).
     """
     _require_nontrivial(pt)
     e, c1, c2 = _reduced(pt)
@@ -173,7 +199,7 @@ def archimedean_height(pt: TorsionPoint) -> float:
     return math.fsum(summands.tolist()) / len(k)
 
 
-@lru_cache(maxsize=512)
+@_per_order
 def _inverses(e: int) -> np.ndarray:
     """m^-1 mod e at every unit m of e, 0 at the non-units."""
     inv = np.zeros(e, dtype=np.int64)
@@ -182,7 +208,7 @@ def _inverses(e: int) -> np.ndarray:
     return inv
 
 
-@lru_cache(maxsize=512)
+@_per_order
 def _log_distances(e: int) -> np.ndarray:
     """log |exp(2*pi*i*m/e) - 1| for m in [0, e), -inf at m = 0."""
     with np.errstate(divide="ignore"):
@@ -190,52 +216,86 @@ def _log_distances(e: int) -> np.ndarray:
 
 
 # Elements of one (pairs x units) block of the batched orbit sum.
-_BLOCK = 1 << 20
+_BLOCK = 1 << 18
 
 
 def total_heights(e: int, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """Total heights of the order-e points with primitive residue pairs (c1, c2) mod e.
 
-    Bit-identical to ``total_height(TorsionPoint(e, c1, c2)).total`` and so
-    to the height of the same point at any level d divisible by e.  The
-    Galois-orbit sum is exactly rounded, hence invariant under
-    (c1, c2) -> (k*c1, k*c2) for units k and under the symmetries that
-    permute the three distances.  Each pair is brought to (1, x) by
-    (a, b) -> (a, b), (b, a) or (b - a, b), whichever puts a unit first,
-    times that unit's inverse; a pair with no unit among a, b, b - a (only
-    possible for e with three distinct primes) is kept as it is.  Each
-    distinct pair is then summed once, as a gather from a per-order table
-    of log distances; log is monotone, so the max of the three logs is the
-    log of the max that ``archimedean_height`` takes.  As there, each row
-    runs over the units k <= e/2 only, since k and e - k give the same
-    summand (see ``_half_units``).
+    Bit-identical to ``total_height(TorsionPoint(e, c1, c2)).total``: each
+    orbit sum over the units k <= e/2 gathers from a table of log
+    distances, and log is monotone, so the max of the three logs is the log
+    of the max that ``archimedean_height`` takes.
     """
     if e < 2:
         raise ValueError(f"nontrivial points need order e >= 2, got {e}")
-    a = np.asarray(c1, dtype=np.int64) % e
-    b = np.asarray(c2, dtype=np.int64) % e
+    a, b = np.asarray(c1, dtype=np.int64) % e, np.asarray(c2, dtype=np.int64) % e
     if np.any(np.gcd(np.gcd(a, b), e) != 1):
         raise ValueError(f"residue pairs must be primitive mod {e}")
-    inv = _inverses(e)
-    diff = (b - a) % e
-    cases = [inv[a] != 0, inv[b] != 0, inv[diff] != 0]
-    scale = np.select(cases, [inv[a], inv[b], inv[diff]], default=1)
-    first = np.select(cases, [a, b, diff], default=a) * scale % e
-    second = np.select(cases, [b, a, b], default=b) * scale % e
-    keys, back = np.unique(first * e + second, return_inverse=True)
-
     k = _half_units(e)
     table = _log_distances(e)
     nonarch = nonarchimedean_height(TorsionPoint(e, 1, 0))
-    p, q = np.divmod(keys, e)
     totals = []
     step = max(1, _BLOCK // len(k))
-    for lo in range(0, len(keys), step):
-        pk = p[lo : lo + step, None] * k
-        qk = q[lo : lo + step, None] * k
+    for lo in range(0, len(a), step):
+        pk = a[lo : lo + step, None] * k
+        qk = b[lo : lo + step, None] * k
         logs = np.maximum(np.maximum(table[(qk - pk) % e], table[qk % e]), table[pk % e])
-        totals += [math.fsum(row) / len(k) + nonarch for row in logs.tolist()]
-    return np.array(totals)[back]
+        totals += [math.fsum(memoryview(row)) / len(k) + nonarch for row in logs]
+    return np.array(totals)
+
+
+@_per_order
+def class_table(e: int) -> np.recarray:
+    """The psi(e) points of P^1(Z/e), unit classes of primitive pairs mod e, in ``class_index`` order.
+
+    Row i holds a pair (first, second) and the height its phi(e) unit
+    multiples share bit for bit: the orbit sum runs over all units and is
+    exactly rounded.  Mod each prime power q = p^r of e the classes are
+    (1 : x) for x in [0, q), then (p*y : 1) for y in [0, q/p), combined by
+    the Chinese remainder theorem, first prime most significant.
+    """
+    first = second = np.zeros((), dtype=np.int64)
+    for p, r in arith._factorize(e):
+        q = p**r
+        lift = (e // q) * pow(e // q, -1, q)  # 1 mod q, 0 mod e/q
+        units, multiples = np.ones(q, dtype=np.int64), np.arange(0, q, p)
+        first = (first[..., None] + lift * np.concatenate([units, multiples])) % e
+        second = (second[..., None] + lift * np.concatenate([np.arange(q), units[: q // p]])) % e
+    first, second = first.ravel(), second.ravel()
+    # The symmetries permute the classes and keep their heights bit for bit,
+    # so only the class of least index in each orbit is summed.
+    images = np.array(list(symmetry.images(first, second, e)))
+    least = class_index(e, images[:, 0], images[:, 1]).min(axis=0)
+    summed = np.flatnonzero(least == np.arange(len(first)))
+    heights = total_heights(e, first[summed], second[summed])[np.searchsorted(summed, least)]
+    return np.rec.fromarrays([first, second, heights], names=["first", "second", "height"])
+
+
+def class_index(e: int, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Row of ``class_table(e)`` holding each pair (c1, c2) mod e (they broadcast), -1 if not primitive.
+
+    Mod q = p^r, (c1, c2) with c1 a unit is (1 : c2/c1), index c2/c1; with
+    c2 the only unit it is (c1/c2 : 1), index q + (c1/c2)/p.  The indices
+    mod the prime powers of e, tabulated on the q x q residues when that is
+    smaller than the result, combine in mixed radix (Cremona, Algorithms
+    for Modular Elliptic Curves, 2.2).
+    """
+    a, b = np.asarray(c1, dtype=np.int64), np.asarray(c2, dtype=np.int64)
+    index = 0
+    for p, r in arith._factorize(e):
+        q = p**r
+        inv = _inverses(q)
+
+        def local(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+            unit = u % p != 0
+            out = np.where(unit, v * inv[u] % q, q + u * inv[v] % q // p)
+            return np.where(unit | (v % p != 0), out, -1)
+
+        x = np.arange(q)
+        part = local(x[:, None], x)[a % q, b % q] if q * q < np.broadcast(a, b).size else local(a % q, b % q)
+        index = np.where((index < 0) | (part < 0), -1, index * (q + q // p) + part)
+    return index
 
 
 def nonarchimedean_height(pt: TorsionPoint) -> float:

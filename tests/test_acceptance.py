@@ -97,7 +97,7 @@ def test_criterion_4_three_routes_to_eta():
     psi_gap = abs(amoeba.psi_average() - ETA)
     gaps = {}
     for d in (100, 150, 200, 250):
-        st = grid.stats(grid.compute_grid(d), 0.1)
+        st = grid.stats(d, 0.1)
         gaps[d] = abs(st.mean - ETA)
     elapsed = time.perf_counter() - t0
     ok = (

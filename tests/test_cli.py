@@ -1,11 +1,12 @@
 import json
 import math
+import os
 import threading
 import warnings
 
 import pytest
 
-from zeta_heights import cli, grid
+from zeta_heights import cli, grid, quad, torsion
 
 
 def run(capsys, *argv):
@@ -131,13 +132,23 @@ class TestStats:
     def test_matches_grid_module(self, capsys):
         code, out = run(capsys, "stats", "--d-range", "120:120", "--format", "json")
         rec = json.loads(out)["rows"][0]
-        st = grid.stats(grid.compute_grid(120), 0.1)
+        st = grid.stats(120, 0.1)
         assert rec["count_near_eta"] == st.count_near_eta
         assert rec["mean"] == st.mean
 
     def test_empty_range_exits_2(self, capsys):
         code, _ = run(capsys, "stats", "--d-range", "5:2")
         assert code == 2
+
+    def test_cost_limit_checked_before_any_sum(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an orbit sum ran")
+
+        monkeypatch.setattr(torsion, "total_heights", refuse)
+        # each modulus is cheap, the range is not; and one large modulus alone
+        for spec in ("2:2000", "30000:30000", "2:1000000000"):
+            assert cli.main(["stats", "--d-range", spec]) == 2
+            assert capsys.readouterr().err.endswith(f"above the limit {grid.MAX_STATS_SUMMANDS}\n")
 
     def test_threads_start_no_thread(self, capsys, monkeypatch):
         def refuse(self):
@@ -192,6 +203,62 @@ class TestOutRouting:
         assert path.read_bytes() == out.encode("ascii")
 
 
+class TestAtomicOut:
+    ARGV = ["stats", "--d-range", "2:6", "--format", "json"]
+
+    def test_failed_write_keeps_old_file(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "out.json"
+        path.write_text("old\n")
+
+        def half_write(name, mode, **kwargs):
+            fh = open(name, mode, **kwargs)
+
+            def write(text):
+                fh.buffer.write(text[: len(text) // 2].encode())
+                raise OSError(28, "No space left on device")
+
+            fh.write = write
+            return fh
+
+        monkeypatch.setattr(cli, "open", half_write, raising=False)
+        assert cli.main([*self.ARGV, "--out", str(path)]) == 3
+        assert "No space left" in capsys.readouterr().err
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_failed_rename_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError(13, "Permission denied")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        assert cli.main([*self.ARGV, "--out", str(tmp_path / "out.json")]) == 3
+        assert list(tmp_path.iterdir()) == []
+
+    def test_symlink_and_fifo_targets(self, capsys, tmp_path):
+        code, out = run(capsys, *self.ARGV)
+        (tmp_path / "real.json").write_text("old\n")
+        (tmp_path / "link.json").symlink_to(tmp_path / "real.json")
+        assert cli.main([*self.ARGV, "--out", str(tmp_path / "link.json")]) == 0
+        assert (tmp_path / "link.json").is_symlink() and (tmp_path / "real.json").read_text() == out
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()))
+        reader.start()
+        assert cli.main([*self.ARGV, "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive() and received == [out]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "pipe", "real.json"]
+
+    def test_replaces_existing_file(self, capsys, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("a much longer old content than the new one\n" * 100)
+        code, out = run(capsys, *self.ARGV)
+        assert cli.main([*self.ARGV, "--out", str(path)]) == 0
+        assert path.read_text() == out
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
 class TestConstants:
     def test_values(self, capsys):
         code, out = run(capsys, "constants")
@@ -229,6 +296,16 @@ class TestLimits:
         assert cli.main(["limits", "--d-list", "5,7", "--e", "9"]) == 2
         assert capsys.readouterr() == ("", "error: limits: --e needs --a\n")
         assert cli.main(["limits", "--a", "2,-1", "--e", "0", "--d-list", "5"]) == 2
+
+
+    def test_moduli_checked_before_quadrature(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(quad, "integrate", refuse)
+        for d_list in ("100000000000", "5,100000000000", "6,9"):
+            assert run(capsys, "limits", "--a", "1,4999", "--e", "3", "--d-list", d_list) == (2, "")
+        assert run(capsys, "limits", "--a", "1,4999", "--d-list", "100000000000") == (2, "")
 
 
 class TestCurve:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from math import fsum, gcd, log, pi
 
 import numpy as np
@@ -46,6 +47,15 @@ def full_orbit_archimedean(pt: TorsionPoint) -> float:
     return fsum(np.log(np.maximum(np.maximum(td, t2), t1)).tolist()) / len(k)
 
 
+def normalized(pt: torsion.ProjectivePointC) -> tuple[complex, complex, complex]:
+    """Coordinates scaled by the first one of nonnegligible modulus."""
+    scale = max(abs(z) for z in pt.coords)
+    if scale == 0.0:
+        raise ValueError("all coordinates vanish")
+    pivot = next(z for z in pt.coords if abs(z) > 1e-14 * scale)
+    return tuple(z / pivot for z in pt.coords)
+
+
 class TestTorsionPoint:
     def test_residues_normalized(self):
         pt = TorsionPoint(5, 7, -1)
@@ -65,7 +75,7 @@ class TestOrder:
 class TestIntersectionPoint:
     def test_order_two(self):
         pt = torsion.intersection_point(TorsionPoint(2, 1, 1))
-        x = pt.normalized()
+        x = normalized(pt)
         # proportional to (0, 1, -1)
         assert abs(x[0]) <= 1e-15
         assert abs(x[1] / x[2] + 1.0) <= 1e-12
@@ -86,7 +96,7 @@ class TestIntersectionPoint:
         for d in range(2, 30):
             for c in ((1, 0), (1, d // 2), (d - 1, 1)):
                 pt = torsion.intersection_point(TorsionPoint(d, *c))
-                assert abs(sum(pt.normalized())) <= 1e-12
+                assert abs(sum(normalized(pt))) <= 1e-12
 
     def test_trivial_rejected(self):
         with pytest.raises(NontrivialityError):
@@ -125,6 +135,34 @@ class TestUnitsSieve:
         monkeypatch.setattr(arith, "_factorize", refuse)
         with pytest.raises(ValueError, match="exceeds"):
             torsion._units_array(torsion.MAX_ORDER + 1)
+
+
+class TestCacheBound:
+    CACHES = (torsion._units_array, torsion._inverses, torsion._log_distances, torsion.class_table)
+
+    def test_bytes_held_stay_under_the_bound(self):
+        # 30 prime orders near 10^6 held 206 MiB under entry-count caches
+        primes = [p for p in range(999_000, 1_000_000) if arith.euler_phi(p) == p - 1][:30]
+        for fn in self.CACHES:
+            fn.cache_clear()
+        tracemalloc.start()
+        try:
+            for p in primes:
+                torsion.total_height(TorsionPoint(p, 1, 2))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            for fn in self.CACHES:
+                fn.cache_clear()
+        assert len(primes) == 30
+        assert held <= torsion.CACHE_BYTES + (1 << 20)
+
+    def test_cache_clear_drops_only_its_entries(self):
+        units, logs = torsion._units_array(97), torsion._log_distances(97)
+        assert torsion._log_distances(97) is logs
+        torsion._log_distances.cache_clear()
+        assert torsion._units_array(97) is units
+        assert torsion._log_distances(97) is not logs
 
 
 class TestHalfOrbit:
