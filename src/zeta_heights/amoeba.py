@@ -137,11 +137,6 @@ def psi_average(tol: float = 1e-10) -> float:
     return -psi_integral / volume(tol)
 
 
-def _check_coord_range(u: AmoebaPoint) -> None:
-    if max(abs(u.u1), abs(u.u2)) > _COORD_LIMIT:
-        raise ValueError(f"coordinates exceed the supported range +-{_COORD_LIMIT}")
-
-
 def _switch_breaks(rr: float, floor_log: float) -> tuple[float, ...]:
     """Parameters s where the scaled modulus crosses the scaled floor.
 
@@ -159,8 +154,8 @@ def _switch_breaks(rr: float, floor_log: float) -> tuple[float, ...]:
     return (s_lo, 1.0 - s_lo)
 
 
-def ronkin(u: AmoebaPoint, tol: float = 1e-9, *, budget: int = quad.DEFAULT_BUDGET) -> float:
-    """The Ronkin function of 1 + z1 + z2 at u, by adaptive quadrature.
+def ronkin_batch(points: list[AmoebaPoint], tol: float = 1e-9, *, budget: int = quad.DEFAULT_BUDGET) -> list[float]:
+    """The Ronkin function of 1 + z1 + z2 at each point, by one adaptive quadrature batch.
 
     The integrand log max(|1 + e^{-u1} e^{2 pi i s}|, e^{-u2}) is bounded
     (the floor is positive) with kinks at the crossing parameters, which
@@ -168,20 +163,26 @@ def ronkin(u: AmoebaPoint, tol: float = 1e-9, *, budget: int = quad.DEFAULT_BUDG
     is factored out first, so the evaluation never overflows on the
     supported coordinate range.
     """
-    _check_coord_range(u)
+    if any(max(abs(u.u1), abs(u.u2)) > _COORD_LIMIT for u in points):
+        raise ValueError(f"coordinates exceed the supported range +-{_COORD_LIMIT}")
     # |1 + r z| = max(1, r) * |1 + rr z'| with rr = min(r, 1/r) <= 1
-    scale = max(0.0, -u.u1)
-    rr = math.exp(-abs(u.u1))
-    floor_log = -u.u2 - scale
-    sq_dist = (1.0 - rr) * (1.0 - rr)
-    four_rr = 4.0 * rr
+    scale = [max(0.0, -u.u1) for u in points]
+    rr = [math.exp(-abs(u.u1)) for u in points]
+    floor_log = [-u.u2 - sc for u, sc in zip(points, scale)]
+    rr_col, floor_col = np.array(rr)[:, None], np.array(floor_log)[:, None]
+    sq_dist, four_rr = (1.0 - rr_col) * (1.0 - rr_col), 4.0 * rr_col
 
-    def integrand(s: np.ndarray) -> np.ndarray:
-        m2 = sq_dist + four_rr * np.cos(math.pi * s) ** 2
-        return np.maximum(0.5 * np.log(m2), floor_log)
+    def integrand(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
+        m2 = sq_dist[rows] + four_rr[rows] * np.cos(math.pi * s) ** 2
+        return np.maximum(0.5 * np.log(m2), floor_col[rows])
 
-    res = quad.integrate(integrand, 0.0, 1.0, tol, break_points=_switch_breaks(rr, floor_log), budget=budget)
-    return -(scale + res.value)
+    parts = [[0.0, *_switch_breaks(r, fl), 1.0] for r, fl in zip(rr, floor_log)]
+    return [-(sc + res.value) for sc, res in zip(scale, quad.integrate_batch(integrand, parts, tol, budget=budget))]
+
+
+def ronkin(u: AmoebaPoint, tol: float = 1e-9, *, budget: int = quad.DEFAULT_BUDGET) -> float:
+    """The Ronkin function of 1 + z1 + z2 at u: ``ronkin_batch`` on one point."""
+    return ronkin_batch([u], tol, budget=budget)[0]
 
 
 _PATTERN_STEPS = ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
@@ -204,16 +205,17 @@ def legendre_dual(x: tuple[float, float], tol: float = 1e-9) -> float:
     r_box = SEARCH_RADIUS
     u1, u2 = 0.0, 0.0
 
-    def f(a: float, b: float) -> float:
-        return x1 * a + x2 * b - ronkin(AmoebaPoint(a, b), tol)
+    def f(probes: list[tuple[float, float]]) -> list[float]:
+        values = ronkin_batch([AmoebaPoint(a, b) for a, b in probes], tol)
+        return [x1 * a + x2 * b - rho for (a, b), rho in zip(probes, values)]
 
-    best = f(u1, u2)
+    best = f([(u1, u2)])[0]
     step = 1.0
     while step > 1e-4:
-        for d1, d2 in _PATTERN_STEPS:
-            a = min(max(u1 + step * d1, -r_box), r_box)
-            b = min(max(u2 + step * d2, -r_box), r_box)
-            val = f(a, b)
+        # all eight probes in one batch; the first improving one in order wins
+        probes = [(min(max(u1 + step * d1, -r_box), r_box), min(max(u2 + step * d2, -r_box), r_box))
+                  for d1, d2 in _PATTERN_STEPS]
+        for (a, b), val in zip(probes, f(probes)):
             if val < best - 1e-15:
                 best, u1, u2 = val, a, b
                 break
@@ -239,21 +241,15 @@ def monge_ampere_density(u: AmoebaPoint, h: float = 1e-2, tol: float = 1e-10) ->
                 f"({u.u1}, {u.u2}) is within 3h of the amoeba boundary; the stencil would leave it"
             )
 
-    def det_at(step: float) -> float:
-        def rho(a: float, b: float) -> float:
-            return ronkin(AmoebaPoint(a, b), tol)
+    # the 3x3 stencils at steps h and h/2, one batch
+    keys = [(step, i, j) for step in (h, 0.5 * h) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+    rho = dict(zip(keys, ronkin_batch([AmoebaPoint(u.u1 + i * step, u.u2 + j * step) for step, i, j in keys], tol)))
 
-        center = rho(u.u1, u.u2)
-        fxx = (rho(u.u1 + step, u.u2) - 2.0 * center + rho(u.u1 - step, u.u2)) / step**2
-        fyy = (rho(u.u1, u.u2 + step) - 2.0 * center + rho(u.u1, u.u2 - step)) / step**2
-        fxy = (
-            rho(u.u1 + step, u.u2 + step)
-            - rho(u.u1 + step, u.u2 - step)
-            - rho(u.u1 - step, u.u2 + step)
-            + rho(u.u1 - step, u.u2 - step)
-        ) / (4.0 * step**2)
+    def det_at(step: float) -> float:
+        center = rho[step, 0, 0]
+        fxx = (rho[step, 1, 0] - 2.0 * center + rho[step, -1, 0]) / step**2
+        fyy = (rho[step, 0, 1] - 2.0 * center + rho[step, 0, -1]) / step**2
+        fxy = (rho[step, 1, 1] - rho[step, 1, -1] - rho[step, -1, 1] + rho[step, -1, -1]) / (4.0 * step**2)
         return fxx * fyy - fxy * fxy
 
-    coarse = det_at(h)
-    fine = det_at(0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
+    return (4.0 * det_at(0.5 * h) - det_at(h)) / 3.0

@@ -9,7 +9,7 @@ u(w) = 2*pi*(w*p + j*r/e, w*q + j*s/e), j a unit mod e; the average of
 log max(|e^{i u2}-e^{i u1}|, |e^{i u2}-1|, |e^{i u1}-1|) over them is the
 limit of heights along strict sequences on the curve (``limit_height``).
 Its d-torsion points are the d*phi(e) pairs t*(p, q) + (d/e)*j*(r, s)
-mod d (``sample_on_curve``), listed without a d x d array.
+mod d (``_curve_residues``), listed without a d x d array.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import EmptyIntersection
 from .torsion import TorsionPoint, order, total_height
 
 # Largest phi(e)*(|a1| + |a2| + |a1 + a2|), the break points limit_height
-# integrates across; at about 0.6 ms each on a 2-core Xeon, about 6 s.
+# integrates across; 0.3-0.9 s at the limit on a 2-core Xeon.
 MAX_CURVE_BREAKS = 10**4
 
 # Largest d*phi(e), the number of d-torsion points of a curve that are
@@ -104,16 +104,16 @@ def limit_height(curve: TorsionCurve, tol: float = 1e-10, *, budget: int = quad.
     cost = arith.euler_phi(e) * (abs(p) + abs(q) + abs(p - q))
     if cost > MAX_CURVE_BREAKS:
         raise ValueError(f"{curve} has about {cost} break points, above the limit {MAX_CURVE_BREAKS}")
-    per_seg = []
+    offsets = segment_offsets(curve)
+    o1, o2 = (np.array([n / e for n in col])[:, None] for col in zip(*offsets))
     tau = 2.0 * math.pi
-    for n1, n2 in segment_offsets(curve):
 
-        def integrand(w: np.ndarray, o1=n1 / e, o2=n2 / e) -> np.ndarray:
-            u1, u2 = tau * (w * p + o1), tau * (w * q + o2)
-            return np.log(np.maximum(np.maximum(constants.chord(u2 - u1), constants.chord(u2)), constants.chord(u1)))
+    def integrand(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+        u1, u2 = tau * (w * p + o1[rows]), tau * (w * q + o2[rows])
+        return np.log(np.maximum(np.maximum(constants.chord(u2 - u1), constants.chord(u2)), constants.chord(u1)))
 
-        breaks = _segment_breaks(p, q, n1, n2, e)
-        per_seg.append(quad.integrate(integrand, 0.0, 1.0, tol, break_points=breaks, budget=budget).value)
+    parts = [[0.0, *_segment_breaks(p, q, n1, n2, e), 1.0] for n1, n2 in offsets]
+    per_seg = [res.value for res in quad.integrate_batch(integrand, parts, tol, budget=budget)]
     return math.fsum(per_seg) / len(per_seg)
 
 
@@ -129,7 +129,11 @@ def _check_modulus(curve: TorsionCurve, d: int) -> None:
 
 
 def _curve_residues(curve: TorsionCurve, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The residues (c1, c2) of ``sample_on_curve(curve, d)`` as two int64 arrays."""
+    """All nontrivial d-torsion points (c1, c2) of the curve as two int64 arrays, in lexicographic order.
+
+    Requires e | d; the intersection has d*phi(e) points, minus the trivial
+    one when e = 1.  More than MAX_CURVE_POINTS points raise ValueError.
+    """
     _check_modulus(curve, d)
     (p, q), (r, s) = _basis(curve)
     p, q, r, s = p % d, q % d, r % d, s % d
@@ -140,16 +144,6 @@ def _curve_residues(curve: TorsionCurve, d: int) -> tuple[np.ndarray, np.ndarray
     ])
     codes.sort()
     return np.divmod(codes[1:] if curve.e == 1 else codes, d)
-
-
-def sample_on_curve(curve: TorsionCurve, d: int) -> list[TorsionPoint]:
-    """All nontrivial d-torsion points on the curve, in lexicographic order.
-
-    Requires e | d; the intersection has d*phi(e) points, minus the trivial
-    one when e = 1.  More than MAX_CURVE_POINTS points raise ValueError.
-    """
-    c1, c2 = _curve_residues(curve, d)
-    return [TorsionPoint(d, i, j) for i, j in zip(c1.tolist(), c2.tolist())]
 
 
 @dataclass(frozen=True)

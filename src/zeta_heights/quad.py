@@ -7,19 +7,19 @@ integrands may blow up logarithmically at panel endpoints: a panel whose
 endpoints pinch a singularity keeps shrinking geometrically and its
 contribution vanishes with its width.
 
-Panels are processed leftmost-first and partial sums are accumulated with
-exactly-rounded summation, so results are bit-reproducible for identical
-inputs.
-
-Integrands are called with a numpy array of nodes and must return an array
-of the same shape.
+The engine is level-synchronous (``integrate_batch``): each round
+evaluates every open panel of every problem of a batch in one integrand
+call, accepts panels elementwise and bisects the rest.  The bits equal
+those of one panel at a time in any order: each panel's test reads only
+its own ends, error and tolerance share, its sums are row-wise BLAS ddot,
+and each problem's accepted panels are added with exactly-rounded summation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -78,31 +78,91 @@ class BudgetExceeded(RuntimeError):
         self.result = result
 
 
-def _eval_panel(f: Callable, lo: float, hi: float) -> tuple[float, float]:
-    """Kronrod estimate and error estimate for one panel.
+def _edges(part: Sequence[float]) -> np.ndarray:
+    """The panel edges of part = [a, *break points, b]: a, the distinct breaks inside (a, b) in order, b."""
+    a, b = part[0], part[-1]
+    if not a < b:
+        raise ValueError(f"need a < b, got [{a}, {b}]")
+    return np.array([a, *sorted(p for p in set(part[1:-1]) if a < p < b), b], dtype=float)
 
-    Non-finite integrand values are dropped (treated as 0): they can only
-    arise when node arithmetic rounds onto a singular abscissa, which
-    happens on panels of width comparable to one ulp.
-    """
+
+def _panels(f: Callable, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod values and error estimates of the panels [lo, hi] of problems rows."""
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     with np.errstate(all="ignore"):
-        y = np.asarray(f(c + h * NODES), dtype=float)
-    bad = ~np.isfinite(y)
-    if bad.any():
-        y = np.where(bad, 0.0, y)
-    ik = h * float(np.dot(KRONROD_WEIGHTS, y))
-    diff = abs(ik - h * float(np.dot(GAUSS_WEIGHTS, y)))
-    # Scale the raw Gauss/Kronrod discrepancy the way QUADPACK does, so the
-    # estimate stays honest on panels where the pair agrees by accident.
-    mean = ik / (2.0 * h) if h > 0.0 else 0.0
-    resasc = h * float(np.dot(KRONROD_WEIGHTS, np.abs(y - mean)))
-    if resasc > 0.0 and diff > 0.0:
-        err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
-    else:
-        err = diff
+        y = np.asarray(f(rows, c[:, None] + h[:, None] * NODES), dtype=float)
+        # Non-finite values arise only where node arithmetic rounds onto a
+        # singular abscissa, on panels about one ulp wide: count them as 0.
+        y = np.where(np.isfinite(y), y, 0.0)
+        # vecdot is one BLAS ddot per row, the same bits as np.dot on the row
+        ik = h * np.vecdot(y, KRONROD_WEIGHTS)
+        diff = np.abs(ik - h * np.vecdot(y, GAUSS_WEIGHTS))
+        mean = np.where(h > 0.0, ik / (2.0 * h), 0.0)
+        resasc = h * np.vecdot(np.abs(y - mean[:, None]), KRONROD_WEIGHTS)
+        ratio = 200.0 * diff / resasc
+    # QUADPACK's err = resasc * min(1, ratio**1.5) keeps the estimate honest
+    # where the pair agrees by accident.  The power is libm's, as float **
+    # takes it: np.power rounds some values differently.
+    err = np.where((resasc > 0.0) & (diff > 0.0), resasc, diff)
+    small = (diff > 0.0) & (ratio < 1.0)
+    err[small] = resasc[small] * np.array([t**1.5 for t in ratio[small].tolist()])
     return ik, err
+
+
+def integrate_batch(f: Callable, partitions: Sequence[Sequence[float]], tol: float, *,
+                    budget: int = DEFAULT_BUDGET) -> list[QuadResult]:
+    """Integrate problem i over partitions[i] to absolute tolerance tol, for every i.
+
+    Args:
+        f: batched integrand; f(rows, x) gets an (n, 15) array of nodes and
+           the problem index of each row, and returns values of x's shape.
+           It must be finite inside each interval of the partition and may
+           diverge logarithmically at its ends.
+        partitions: [a, *break points, b] per problem, a < b; the distinct
+           break points strictly inside (a, b) are where the integrand is
+           singular or kinked, and no panel evaluates them.
+        tol: absolute tolerance target of each problem.
+        budget: integrand evaluations per interval of a partition.
+
+    Raises:
+        BudgetExceeded: a problem spent its budget before every panel met
+           its tolerance share; carries the best estimate of the first
+           such problem (the batch stops in that round).
+    """
+    if not tol > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    parts = [_edges(p) for p in partitions]
+    if not parts:
+        return []
+    n = len(parts)
+    intervals = np.array([p.size - 1 for p in parts])
+    total_len = np.array([p[-1] - p[0] for p in parts])
+    rows = np.repeat(np.arange(n), intervals)
+    lo, hi = np.concatenate([p[:-1] for p in parts]), np.concatenate([p[1:] for p in parts])
+    neval = np.zeros(n, dtype=np.int64)
+    done = []
+    while True:
+        ik, err = _panels(f, rows, lo, hi)
+        neval += 15 * np.bincount(rows, minlength=n)
+        exhausted = neval >= budget * intervals
+        width = hi - lo
+        narrow = width <= _WIDTH_FLOOR * np.maximum(np.abs(lo), np.abs(hi))
+        accept = exhausted[rows] | narrow | (err <= tol * (width / total_len[rows] + _SHARE_FLOOR))
+        done.append((rows[accept], ik[accept], err[accept]))
+        if accept.all() or exhausted.any():
+            break
+        rows, lo, hi = rows[~accept], lo[~accept], hi[~accept]
+        mid = 0.5 * (lo + hi)
+        rows, lo, hi = np.concatenate([rows, rows]), np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    owner, vals, errs = (np.concatenate(z) for z in zip(*done))
+    order = np.argsort(owner)
+    cuts = np.cumsum(np.bincount(owner, minlength=n))[:-1]
+    results = [QuadResult(math.fsum(v.tolist()), math.fsum(e.tolist()), int(k))
+               for v, e, k in zip(np.split(vals[order], cuts), np.split(errs[order], cuts), neval)]
+    if exhausted.any():
+        raise BudgetExceeded(results[int(np.argmax(exhausted))])
+    return results
 
 
 def integrate(
@@ -114,51 +174,13 @@ def integrate(
     break_points: Iterable[float] = (),
     budget: int = DEFAULT_BUDGET,
 ) -> QuadResult:
-    """Integrate f over [a, b] to absolute tolerance tol.
+    """Integrate f over [a, b] to absolute tolerance tol: ``integrate_batch`` on one problem.
 
-    Args:
-        f: vectorized integrand; finite on the open interval (a, b), may
-           diverge logarithmically at the endpoints.
-        a, b: integration bounds, a < b.
-        tol: absolute tolerance target.
-        break_points: interior abscissae where the integrand is singular or
-           kinked; panels are split there and never evaluate them.
-        budget: maximum number of integrand evaluations.
-
-    Raises:
-        BudgetExceeded: the budget ran out before every panel met its
-           tolerance share; the exception carries the best estimate.
+    f is elementwise (it gets 2-D node arrays); break_points are interior
+    abscissae where it is singular or kinked (others are ignored), and the
+    budget counts integrand evaluations per interval between them.
     """
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    total_len = b - a
-    pts = [a] + sorted(p for p in set(break_points) if a < p < b) + [b]
-    stack = [(pts[i], pts[i + 1]) for i in range(len(pts) - 2, -1, -1)]
-    vals: list[float] = []
-    errs: list[float] = []
-    neval = 0
-    exhausted = False
-    while stack:
-        lo, hi = stack.pop()
-        ik, err = _eval_panel(f, lo, hi)
-        neval += 15
-        if neval >= budget:
-            exhausted = True
-        share = (hi - lo) / total_len
-        narrow = (hi - lo) <= _WIDTH_FLOOR * max(abs(lo), abs(hi))
-        if exhausted or narrow or err <= tol * (share + _SHARE_FLOOR):
-            vals.append(ik)
-            errs.append(err)
-        else:
-            mid = 0.5 * (lo + hi)
-            stack.append((mid, hi))
-            stack.append((lo, mid))
-    result = QuadResult(math.fsum(vals), math.fsum(errs), neval)
-    if exhausted:
-        raise BudgetExceeded(result)
-    return result
+    return integrate_batch(lambda rows, x: f(x), [[a, *break_points, b]], tol, budget=budget)[0]
 
 
 def integrate_semiinfinite(

@@ -60,6 +60,8 @@ def _per_order(fn):
         value = _cache.get((cached, e))
         if value is None:
             value = fn(e)
+            if value.nbytes > CACHE_BYTES:  # would evict every table, itself included
+                return value
         with _cache_lock:
             if (cached, e) not in _cache:
                 _cache[cached, e] = value

@@ -3,6 +3,7 @@ from math import exp, log, pi
 
 import numpy as np
 import pytest
+import quad_reference
 
 from zeta_heights import amoeba, constants, quad
 from zeta_heights.amoeba import AmoebaPoint, RegionTag
@@ -229,3 +230,24 @@ class TestMongeAmpere:
     def test_step_validated(self):
         with pytest.raises(ValueError):
             amoeba.monge_ampere_density(AmoebaPoint(0.0, 0.0), h=0.0)
+
+
+class TestBatchedQueries:
+    # values of the depth-first engine, one ronkin call per probe
+    @pytest.mark.parametrize("query, bits", [
+        (lambda: amoeba.legendre_dual((0.2, 0.3)), "0x1.2272d968caa6ap-2"),
+        (lambda: amoeba.legendre_dual((0.6, 0.1)), "0x1.a25a8d277141ap-3"),
+        (lambda: amoeba.monge_ampere_density(AmoebaPoint(0.0, 0.0)), "0x1.9f02f62abb6d8p-4"),
+        (lambda: amoeba.monge_ampere_density(AmoebaPoint(0.3, -0.2)), "0x1.9f02f69599353p-4"),
+    ], ids=["dual-0.2,0.3", "dual-0.6,0.1", "monge-0,0", "monge-0.3,-0.2"])
+    def test_same_bits_as_depth_first_engine(self, monkeypatch, query, bits):
+        assert query().hex() == bits
+        monkeypatch.setattr(quad, "integrate_batch", quad_reference.integrate_batch)
+        assert query().hex() == bits
+
+    def test_batch_equals_points_one_by_one(self):
+        points = [AmoebaPoint(0.0, 0.0), AmoebaPoint(-3.0, 1.5), AmoebaPoint(2.0, -4.0), AmoebaPoint(0.5, 0.5),
+                  AmoebaPoint(0.5, 0.5), AmoebaPoint(-600.0, 650.0)]
+        assert amoeba.ronkin_batch(points) == [amoeba.ronkin(u) for u in points]
+        assert amoeba.ronkin(points[0]).hex() == "-0x1.4ad1ccb709036p-2"
+        assert amoeba.ronkin_batch([]) == []

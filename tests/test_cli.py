@@ -5,6 +5,7 @@ import threading
 import warnings
 
 import pytest
+import quad_reference
 
 from zeta_heights import cli, grid, quad, torsion
 
@@ -302,7 +303,7 @@ class TestLimits:
         def refuse(*args, **kwargs):
             raise AssertionError("quadrature ran")
 
-        monkeypatch.setattr(quad, "integrate", refuse)
+        monkeypatch.setattr(quad, "integrate_batch", refuse)
         for d_list in ("100000000000", "5,100000000000", "6,9"):
             assert run(capsys, "limits", "--a", "1,4999", "--e", "3", "--d-list", d_list) == (2, "")
         assert run(capsys, "limits", "--a", "1,4999", "--d-list", "100000000000") == (2, "")
@@ -324,6 +325,18 @@ class TestAmoeba:
         code, out = run(capsys, "amoeba", "--moment", "1")
         rec = json.loads(out)
         assert abs(rec["value"] + 1.2020569) <= 1e-7
+
+    # printed by the depth-first engine
+    MOMENT_LINES = (
+        '{"m": 0, "value": 1.6449340668482235, "err_estimate": 3.1229535629718364e-14, "evaluations": 1425}',
+        '{"m": 1, "value": -1.202056903159593, "err_estimate": 1.3778053319036043e-14, "evaluations": 5145}',
+        '{"m": 2, "value": 2.164646467422219, "err_estimate": 5.606834160466166e-13, "evaluations": 16185}',
+        '{"m": 3, "value": -6.221566530857951, "err_estimate": 3.4746914693083395e-12, "evaluations": 54885}',
+    )
+
+    @pytest.mark.parametrize("m", range(4))
+    def test_moment_bytes(self, capsys, m):
+        assert run(capsys, "amoeba", "--moment", str(m)) == (0, self.MOMENT_LINES[m] + "\n")
 
     def test_moment_honours_tol(self, capsys):
         _, default = run(capsys, "amoeba", "--moment", "1")
@@ -359,6 +372,13 @@ class TestAmoeba:
         lines = out.strip().splitlines()
         assert lines[0] == "u1,u2,ronkin"
         assert len(lines) == 7
+
+    def test_ronkin_lattice_matches_reference_engine(self, capsys, monkeypatch):
+        argv = ("amoeba", "--ronkin-samples=-5.2:4.9:21,-5.5:5.1:17")
+        _, batched = run(capsys, *argv)
+        monkeypatch.setattr(quad, "integrate_batch", quad_reference.integrate_batch)
+        _, reference = run(capsys, *argv)
+        assert batched == reference and len(batched.splitlines()) == 1 + 21 * 17
 
     def test_volume_and_ronkin(self, capsys):
         code, out = run(capsys, "amoeba", "--volume")

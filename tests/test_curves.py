@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import quad_reference
 
 from zeta_heights import arith, cli, constants, curves, quad
 from zeta_heights.curves import TorsionCurve
@@ -22,6 +24,12 @@ def strictness_ratio(a: tuple[int, int], d: int) -> Fraction:
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     return Fraction(math.gcd(math.gcd(a[0], a[1]), d), d)
+
+
+def sample_on_curve(curve: TorsionCurve, d: int) -> list[TorsionPoint]:
+    """All nontrivial d-torsion points on the curve, in lexicographic order."""
+    c1, c2 = curves._curve_residues(curve, d)
+    return [TorsionPoint(d, i, j) for i, j in zip(c1.tolist(), c2.tolist())]
 
 
 # Reference implementations: the d x d meshgrid sampler, the scan for the
@@ -71,7 +79,7 @@ def assert_breaks_match(curve: TorsionCurve) -> int:
 
 
 def assert_points_match(curve: TorsionCurve, d: int) -> None:
-    assert curves.sample_on_curve(curve, d) == ref_sample_on_curve(curve, d)
+    assert sample_on_curve(curve, d) == ref_sample_on_curve(curve, d)
     if d == 1:  # e = 1: the trivial point is the only one
         with pytest.raises(ValueError):
             curves._curve_witness(curve, d)
@@ -151,6 +159,18 @@ class TestBasisAgainstReferences:
         # values of the Segment/Fraction implementation this one replaced
         assert curves.limit_height(TorsionCurve(a1, a2, e)).hex() == bits
 
+    @pytest.mark.parametrize("curve", [TorsionCurve(5, -3, 7), TorsionCurve(-4, 5, 8), TorsionCurve(2, 7, 30)])
+    def test_segments_batched_as_one_by_one(self, monkeypatch, curve):
+        batched = curves.limit_height(curve)
+        monkeypatch.setattr(quad, "integrate_batch", quad_reference.integrate_batch)
+        assert curves.limit_height(curve) == batched
+
+    @pytest.mark.parametrize("a2", [3000, 4999])
+    def test_long_curves_finish_near_eta(self, capsys, a2):
+        # the budget is counted per interval between break points
+        assert cli.main(["curve", "--a", f"1,{a2}", "--e", "1"]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["value"] - constants.eta()) <= 1e-6
+
     def test_witness_memory(self):
         # the meshgrid route peaked at 274.7 MiB here
         tracemalloc.start()
@@ -168,7 +188,7 @@ class TestCostGuards:
         raise AssertionError("work started before the cost guard")
 
     def test_break_limit(self, monkeypatch):
-        monkeypatch.setattr(quad, "integrate", self.refuse)
+        monkeypatch.setattr(quad, "integrate_batch", self.refuse)
         monkeypatch.setattr(arith, "modular_units", self.refuse)
         for a1, a2, e in [(1, 1000, 1000), (1, 0, 10**8), (5000, 1, 1)]:
             with pytest.raises(ValueError, match="break points"):
@@ -176,7 +196,7 @@ class TestCostGuards:
 
     def test_break_limit_is_inclusive(self, monkeypatch):
         # phi(1)*(|1| + |4999| + |5000|) is exactly MAX_CURVE_BREAKS
-        monkeypatch.setattr(quad, "integrate", lambda *args, **kwargs: quad.QuadResult(0.25, 0.0, 0))
+        monkeypatch.setattr(quad, "integrate_batch", lambda f, parts, *args, **kwargs: [quad.QuadResult(0.25, 0.0, 0)] * len(parts))
         assert curves.limit_height(TorsionCurve(1, 4999, 1)) == 0.25
         with pytest.raises(ValueError, match="break points"):
             curves.limit_height(TorsionCurve(1, 5000, 1))
@@ -185,7 +205,7 @@ class TestCostGuards:
         monkeypatch.setattr(np, "arange", self.refuse)
         for curve, d in [(TorsionCurve(2, -1, 1), 10**11), (TorsionCurve(1, 1, 12), 12 * 2500001)]:
             with pytest.raises(ValueError, match="above the limit"):
-                curves.sample_on_curve(curve, d)
+                sample_on_curve(curve, d)
             with pytest.raises(ValueError, match="above the limit"):
                 curves._curve_witness(curve, d)
         with pytest.raises(AssertionError):  # exactly MAX_CURVE_POINTS = 5*10**6 * phi(4) points pass
@@ -198,6 +218,7 @@ class TestCostGuards:
             (["curve", "--a", "1,0", "--e", "100000000"], arith, "modular_units"),
             (["limits", "--a", "2,-1", "--d-list", "100000000000"], np, "arange"),
             (["limits", "--primes", "2:100000000000"], cli, "bytearray"),
+            (["curve", "--a", "1,1000", "--e", "1000"], quad, "integrate_batch"),
         ],
     )
     def test_cli_exits_2(self, capsys, monkeypatch, argv, module, name):
@@ -247,25 +268,25 @@ class TestStrictnessRatio:
 
 class TestSampleOnCurve:
     def test_line_through_origin(self):
-        pts = curves.sample_on_curve(TorsionCurve(2, -1, 1), 5)
+        pts = sample_on_curve(TorsionCurve(2, -1, 1), 5)
         assert {(p.c1, p.c2) for p in pts} == {(c, 2 * c % 5) for c in range(1, 5)}
 
     def test_shifted_level(self):
-        pts = curves.sample_on_curve(TorsionCurve(0, 1, 2), 4)
+        pts = sample_on_curve(TorsionCurve(0, 1, 2), 4)
         assert {(p.c1, p.c2) for p in pts} == {(c, 2) for c in range(4)}
 
     def test_empty_intersection(self):
         with pytest.raises(EmptyIntersection):
-            curves.sample_on_curve(TorsionCurve(1, 0, 3), 4)
+            sample_on_curve(TorsionCurve(1, 0, 3), 4)
 
     def test_cardinality(self):
         for a, e, d in [((2, -1), 1, 7), ((1, 1), 2, 8), ((1, -2), 3, 9), ((0, 1), 4, 12)]:
-            pts = curves.sample_on_curve(TorsionCurve(*a, e), d)
+            pts = sample_on_curve(TorsionCurve(*a, e), d)
             assert len(pts) == d * arith.euler_phi(e) - (1 if e == 1 else 0)
 
     def test_points_satisfy_character_condition(self):
         curve = TorsionCurve(1, -2, 3)
-        for p in curves.sample_on_curve(curve, 9):
+        for p in sample_on_curve(curve, 9):
             val = (curve.a1 * p.c1 + curve.a2 * p.c2) % 9
             assert val in {3, 6}  # (d/e)*j for j coprime to 3
 
@@ -307,7 +328,7 @@ class TestLimitExperiment:
     def test_witness_has_maximal_order(self):
         curve = TorsionCurve(1, 1, 2)
         exp = curves.limit_experiment(curve, [8])
-        pts = curves.sample_on_curve(curve, 8)
+        pts = sample_on_curve(curve, 8)
         assert exp.rows[0].order == max(order(p) for p in pts)
         witness = TorsionPoint(8, exp.rows[0].c1, exp.rows[0].c2)
         assert abs(total_height(witness).total - exp.rows[0].height) == 0.0
@@ -318,7 +339,7 @@ class TestDomainGuards:
         with pytest.raises(ValueError):
             strictness_ratio((1, 2), 0)
         with pytest.raises(ValueError):
-            curves.sample_on_curve(TorsionCurve(1, 0, 1), 0)
+            sample_on_curve(TorsionCurve(1, 0, 1), 0)
 
 
 class TestSegmentAverageAgainstOrbitHeights:
@@ -331,7 +352,7 @@ class TestSegmentAverageAgainstOrbitHeights:
     def test_limit_matches_large_order_heights(self, a, e, d):
         curve = TorsionCurve(*a, e)
         lim = curves.limit_height(curve, 1e-10)
-        pts = curves.sample_on_curve(curve, d)
+        pts = sample_on_curve(curve, d)
         witness = max(pts, key=order)
         assert order(witness) == d
         assert abs(total_height(witness).total - lim) < 5e-3

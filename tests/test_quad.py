@@ -3,6 +3,9 @@ from math import fsum, pi
 
 import numpy as np
 import pytest
+import quad_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zeta_heights import quad
 
@@ -84,3 +87,75 @@ class TestSemiInfinite:
     def test_budget_propagates(self):
         with pytest.raises(quad.BudgetExceeded):
             quad.integrate_semiinfinite(lambda u: -np.log(-np.expm1(u)), 1e-12, budget=45)
+
+
+# Integrands of one problem each, all elementwise in x; c1 and c2 are
+# scalars in the reference and per-row columns in the batch.
+_KINDS = (
+    lambda x, c1, c2: np.log(np.abs(np.sin(c2 * (x - c1)))),
+    lambda x, c1, c2: np.abs(x - c1) ** 0.3 * np.cos(c2 * x),
+    lambda x, c1, c2: np.exp(-c2 * x * x) + c1,
+    lambda x, c1, c2: np.maximum(np.log(np.abs(x - c1)), -c2),
+)
+
+_problem = st.tuples(
+    st.floats(-3.0, 3.0),
+    st.floats(0.01, 5.0),
+    st.lists(st.floats(0.0, 1.0), max_size=5),
+    st.integers(0, len(_KINDS) - 1),
+    st.floats(-2.0, 2.0),
+    st.floats(0.1, 5.0),
+)
+
+
+class TestBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_problem, min_size=1, max_size=4), st.integers(-12, -4))
+    def test_same_bits_as_depth_first_reference(self, problems, tol_exp):
+        tol = 10.0**tol_exp
+        parts = [[a, *(a + w * t for t in breaks), a + w] for a, w, breaks, *_ in problems]
+        kind = np.array([p[3] for p in problems])
+        c1 = np.array([p[4] for p in problems])[:, None]
+        c2 = np.array([p[5] for p in problems])[:, None]
+
+        def f(rows, x):
+            out = np.empty_like(x)
+            for k in set(kind[rows].tolist()):
+                sel = kind[rows] == k
+                out[sel] = _KINDS[k](x[sel], c1[rows[sel]], c2[rows[sel]])
+            return out
+
+        got = quad.integrate_batch(f, parts, tol, budget=10**7)
+        for (a, w, _, k, p1, p2), part, res in zip(problems, parts, got):
+            ref = quad_reference.integrate(lambda x: _KINDS[k](x, p1, p2), a, a + w, tol,
+                                           break_points=part[1:-1], budget=10**7)
+            assert (res.value, res.err_estimate, res.evaluations) == (ref.value, ref.err_estimate, ref.evaluations)
+
+    def test_vecdot_is_rowwise_dot(self):
+        rng = np.random.default_rng(7)
+        y = rng.standard_normal((20000, 15)) * np.exp(rng.uniform(-30.0, 30.0, (20000, 1)))
+        rowwise = np.array([np.dot(quad.KRONROD_WEIGHTS, row) for row in y])
+        assert np.array_equal(np.vecdot(y, quad.KRONROD_WEIGHTS), rowwise)
+
+    def test_budget_counted_per_interval(self):
+        f = lambda x: x**2
+        res = quad.integrate(f, 0.0, 1.0, 1e-12, break_points=(0.25, 0.5, 0.75), budget=16)
+        assert res.evaluations == 60 and abs(res.value - 1.0 / 3.0) <= 1e-15
+        with pytest.raises(quad.BudgetExceeded) as info:
+            quad.integrate(lambda s: s * log_dist(s), 0.0, pi, 1e-13, break_points=(1.0, 2.0), budget=60)
+        assert info.value.result.evaluations >= 180
+
+    def test_raises_for_first_exhausted_problem(self):
+        hard = lambda s: s * log_dist(s)
+        with pytest.raises(quad.BudgetExceeded) as alone:
+            quad.integrate(hard, 0.0, pi, 1e-13, budget=60)
+        with pytest.raises(quad.BudgetExceeded) as batch:
+            quad.integrate_batch(lambda rows, x: np.where(rows[:, None] == 0, x * x, hard(x)),
+                                 [[0.0, 1.0], [0.0, pi], [0.0, 3.0]], 1e-13, budget=60)
+        assert batch.value.result == alone.value.result
+
+    def test_partitions_validated(self):
+        assert quad.integrate_batch(lambda rows, x: x, [], 1e-10) == []
+        for bad in ([0.0], [0.0, 0.0], [1.0, 0.5, 0.0], [0.0, float("nan")]):
+            with pytest.raises(ValueError):
+                quad.integrate_batch(lambda rows, x: x, [[0.0, 1.0], bad], 1e-10)

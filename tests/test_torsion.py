@@ -165,6 +165,17 @@ class TestCacheBound:
         assert torsion._log_distances(97) is not logs
 
 
+    def test_oversized_value_is_not_cached(self, monkeypatch):
+        for fn in self.CACHES:
+            fn.cache_clear()
+        tables = [torsion.class_table(100), torsion.class_table(210)]
+        monkeypatch.setattr(torsion, "CACHE_BYTES", 64 << 10)
+        units = torsion._units_array(100003)  # 800 KB of units
+        assert units.nbytes > torsion.CACHE_BYTES
+        assert torsion._units_array(100003) is not units
+        assert all(a is b for a, b in zip([torsion.class_table(100), torsion.class_table(210)], tables))
+
+
 class TestHalfOrbit:
     @pytest.mark.parametrize("e", [2, 3, 4, 5, 6, 12, 30, 210, 30030, 100003])
     def test_matches_full_orbit_bit_for_bit(self, e):
