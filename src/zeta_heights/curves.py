@@ -24,7 +24,7 @@ from .errors import EmptyIntersection
 from .torsion import TorsionPoint, order, total_height
 
 # Largest phi(e)*(|a1| + |a2| + |a1 + a2|), the break points limit_height
-# integrates across; 0.3-0.9 s at the limit on a 2-core Xeon.
+# integrates across; 0.2-1.1 s at the limit on a shared 2-core Xeon.
 MAX_CURVE_BREAKS = 10**4
 
 # Largest d*phi(e), the number of d-torsion points of a curve that are
