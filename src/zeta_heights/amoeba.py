@@ -98,7 +98,7 @@ def region(u: AmoebaPoint, boundary_tol: float = 1e-12) -> RegionTag:
     return RegionTag.EAST
 
 
-def south_moment(m: int, tol: float = 1e-10, *, budget: int = quad.DEFAULT_BUDGET) -> quad.QuadResult:
+def south_moment(m: int, tol: float = 1e-10) -> quad.QuadResult:
     """integral of u2^m over the south region {u in amoeba : min(0,u1) >= u2}.
 
     Integrating out u1 leaves integral(-inf, 0) -u2^m log(1 - e^{u2}) du2;
@@ -115,7 +115,7 @@ def south_moment(m: int, tol: float = 1e-10, *, budget: int = quad.DEFAULT_BUDGE
         # log1p/expm1 keep the u -> 0 tail finite until the last ulp
         return -(u**m) * np.log(-np.expm1(u))
 
-    return quad.integrate_semiinfinite(integrand, tol, budget=budget)
+    return quad.integrate_semiinfinite(integrand, tol)
 
 
 def volume(tol: float = 1e-10) -> float:
@@ -154,7 +154,7 @@ def _switch_breaks(rr: float, floor_log: float) -> tuple[float, ...]:
     return (s_lo, 1.0 - s_lo)
 
 
-def ronkin_batch(points: list[AmoebaPoint], tol: float = 1e-9, *, budget: int = quad.DEFAULT_BUDGET) -> list[float]:
+def ronkin_batch(points: list[AmoebaPoint], tol: float = 1e-9) -> list[float]:
     """The Ronkin function of 1 + z1 + z2 at each point, by one adaptive quadrature batch.
 
     The integrand log max(|1 + e^{-u1} e^{2 pi i s}|, e^{-u2}) is bounded
@@ -177,12 +177,12 @@ def ronkin_batch(points: list[AmoebaPoint], tol: float = 1e-9, *, budget: int = 
         return np.maximum(0.5 * np.log(m2), floor_col[rows])
 
     parts = [[0.0, *_switch_breaks(r, fl), 1.0] for r, fl in zip(rr, floor_log)]
-    return [-(sc + res.value) for sc, res in zip(scale, quad.integrate_batch(integrand, parts, tol, budget=budget))]
+    return [-(sc + res.value) for sc, res in zip(scale, quad.integrate_batch(integrand, parts, tol))]
 
 
-def ronkin(u: AmoebaPoint, tol: float = 1e-9, *, budget: int = quad.DEFAULT_BUDGET) -> float:
+def ronkin(u: AmoebaPoint, tol: float = 1e-9) -> float:
     """The Ronkin function of 1 + z1 + z2 at u: ``ronkin_batch`` on one point."""
-    return ronkin_batch([u], tol, budget=budget)[0]
+    return ronkin_batch([u], tol)[0]
 
 
 _PATTERN_STEPS = ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
@@ -199,7 +199,7 @@ def legendre_dual(x: tuple[float, float], tol: float = 1e-9) -> float:
     (well below 1e-3).
     """
     x1, x2 = float(x[0]), float(x[1])
-    if x1 < -1e-12 or x2 < -1e-12 or x1 + x2 > 1.0 + 1e-12:
+    if not (x1 >= -1e-12 and x2 >= -1e-12 and x1 + x2 <= 1.0 + 1e-12):  # NaN fails every comparison
         raise ValueError(f"({x1}, {x2}) lies outside the standard simplex")
 
     r_box = SEARCH_RADIUS

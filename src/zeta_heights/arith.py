@@ -1,8 +1,9 @@
 """Exact integer arithmetic underpinning the height formulas.
 
 Everything here is exact: factorization is deterministic trial division
-(inputs are bounded by grid sizes, so no probabilistic tests are needed)
-and logarithms are kept symbolic until a caller asks for a float.
+(inputs are bounded by grid sizes, so no probabilistic tests are needed),
+a prime is a number whose factorization is itself, and logarithms are
+kept symbolic until a caller asks for a float.
 """
 
 from __future__ import annotations
@@ -13,19 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 _TRIAL_LIMIT = 10**6
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 @lru_cache(maxsize=4096)
@@ -59,7 +47,7 @@ class PrimePower:
     r: int
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p):
+        if _factorize(self.p) != ((self.p, 1),):
             raise ValueError(f"{self.p} is not prime")
         if self.r < 1:
             raise ValueError(f"exponent must be >= 1, got {self.r}")
@@ -173,7 +161,7 @@ def padic_distance_to_one(p: int, d: int) -> ExactPower:
     Equals p**(-1/phi(d)) when d is a power of p, and 1 otherwise.
     The result is returned symbolically as a base with rational exponent.
     """
-    if not _is_prime(p):
+    if _factorize(p) != ((p, 1),):
         raise ValueError(f"{p} is not prime")
     if d < 2:
         raise ValueError(f"padic_distance_to_one needs d >= 2, got {d}")

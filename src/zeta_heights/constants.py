@@ -106,7 +106,7 @@ def _log_dist(u: np.ndarray) -> np.ndarray:
     return np.log(chord(u))
 
 
-def limit_integral(tol: float = 1e-10, *, budget: int = quad.DEFAULT_BUDGET) -> quad.QuadResult:
+def limit_integral(tol: float = 1e-10) -> quad.QuadResult:
     """Quadrature of the reduced torus integral; the value equals eta.
 
     The 12-fold symmetry of the integrand collapses the 2-D average over
@@ -123,20 +123,17 @@ def limit_integral(tol: float = 1e-10, *, budget: int = quad.DEFAULT_BUDGET) -> 
     def integrand(u: np.ndarray) -> np.ndarray:
         return np.minimum(0.5 * u, 2.0 * math.pi - 1.5 * u) * _log_dist(u)
 
-    raw = quad.integrate(integrand, 0.0, 4.0 * math.pi / 3.0, tol,
-                         break_points=(math.pi,), budget=budget)
+    raw = quad.integrate(integrand, 0.0, 4.0 * math.pi / 3.0, tol, break_points=(math.pi,))
     scale = 3.0 / math.pi**2
     return quad.QuadResult(raw.value * scale, raw.err_estimate * scale, raw.evaluations)
 
 
-def limit_integral_pieces(tol: float = 1e-10, *, budget: int = quad.DEFAULT_BUDGET) -> tuple[float, float]:
+def limit_integral_pieces(tol: float = 1e-10) -> tuple[float, float]:
     """The two weighted pieces of the reduced integral, by direct quadrature.
 
     Closed forms: the first equals (7/4) zeta(3), the second (11/12) zeta(3).
     """
-    first = quad.integrate(lambda s: s * _log_dist(s), 0.0, math.pi, tol, budget=budget)
-    second = quad.integrate(
-        lambda s: (4.0 * math.pi - 3.0 * s) * _log_dist(s),
-        math.pi, 4.0 * math.pi / 3.0, tol, budget=budget,
-    )
+    first = quad.integrate(lambda s: s * _log_dist(s), 0.0, math.pi, tol)
+    second = quad.integrate(lambda s: (4.0 * math.pi - 3.0 * s) * _log_dist(s),
+                            math.pi, 4.0 * math.pi / 3.0, tol)
     return first.value, second.value

@@ -90,7 +90,7 @@ def _segment_breaks(p: int, q: int, n1: int, n2: int, e: int) -> list[float]:
     return sorted({*_lattice_hits(p, n1, e), *_lattice_hits(q, n2, e), *_lattice_hits(p - q, n1 - n2, e)})
 
 
-def limit_height(curve: TorsionCurve, tol: float = 1e-10, *, budget: int = quad.DEFAULT_BUDGET) -> float:
+def limit_height(curve: TorsionCurve, tol: float = 1e-10) -> float:
     """Average of the torus height integrand over the segments of the curve.
 
     This is the limit of total heights along any strict sequence of torsion
@@ -113,7 +113,7 @@ def limit_height(curve: TorsionCurve, tol: float = 1e-10, *, budget: int = quad.
         return np.log(np.maximum(np.maximum(constants.chord(u2 - u1), constants.chord(u2)), constants.chord(u1)))
 
     parts = [[0.0, *_segment_breaks(p, q, n1, n2, e), 1.0] for n1, n2 in offsets]
-    per_seg = [res.value for res in quad.integrate_batch(integrand, parts, tol, budget=budget)]
+    per_seg = [res.value for res in quad.integrate_batch(integrand, parts, tol)]
     return math.fsum(per_seg) / len(per_seg)
 
 

@@ -4,24 +4,21 @@ A cell (c1, c2) of order e = d / gcd(c1, c2, d) reduces to a primitive
 pair mod e, and those fall into the psi(e) unit classes of P^1(Z/e), each
 of phi(e) pairs of one height (``torsion.class_table``).  A grid is one
 gather per order from that table; the statistics weight each class by
-phi(e) and form no d x d array.  The ``threads`` arguments and the
-ZETA_HEIGHTS_THREADS variable are accepted and have no effect.
+phi(e) and form no d x d array.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import arith, constants, symmetry, torsion
+from . import arith, constants, torsion
 # total_height is re-exported: bench/tests checks that the tracer rebinds
 # it in this module.
 from .torsion import LOG2, total_height  # noqa: F401
 
-THREADS_ENV_VAR = "ZETA_HEIGHTS_THREADS"
 HISTOGRAM_BINS = 256
 
 # Largest grid modulus: the d x d arrays and their transients stay near 1 GB.
@@ -44,24 +41,10 @@ class HeightGrid:
     d: int
     values: np.ndarray
 
-    @functools.cached_property
-    def rep_codes(self) -> np.ndarray:
-        """r1*d + r2 for the canonical representative (r1, r2) of each cell's symmetry orbit, on first access."""
-        d = self.d
-        c1, c2 = np.meshgrid(np.arange(d, dtype=np.int64), np.arange(d, dtype=np.int64), indexing="ij")
-        best = np.full((d, d), d * d)
-        for r1, r2 in symmetry.images(c1, c2, d):  # a few d x d arrays alive at once, never twelve
-            np.minimum(best, r1 * d + r2, out=best)
-        best.flags.writeable = False
-        return best
-
     def height(self, c1: int, c2: int) -> float:
         if (c1 % self.d, c2 % self.d) == (0, 0):
             raise ValueError("the sentinel cell (0,0) carries no height")
         return float(self.values[c1 % self.d, c2 % self.d])
-
-    def representative(self, c1: int, c2: int) -> tuple[int, int]:
-        return divmod(int(self.rep_codes[c1 % self.d, c2 % self.d]), self.d)
 
     def nontrivial_values(self) -> np.ndarray:
         """The d*d - 1 heights in row-major cell order, sentinel skipped by index."""
@@ -81,12 +64,11 @@ class DistStats:
     histogram: tuple[int, ...]
 
 
-def compute_grid(d: int, threads: int | None = None) -> HeightGrid:
+def compute_grid(d: int) -> HeightGrid:
     """Heights of all nontrivial d-torsion points.
 
     The cells of order e are the primitive pairs of the e x e sub-grid of
     step d/e, and each takes its height from ``torsion.class_table(e)``.
-    ``threads`` is accepted and ignored.
     """
     if d < 2:
         raise ValueError(f"grid needs d >= 2, got {d}")
@@ -122,6 +104,8 @@ def stats(d: int, eps: float) -> DistStats:
     height splits exactly into two 26-bit halves (Veltkamp), whose products
     with weights below 2^26 are exact, and fsum rounds their exact total.
     """
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"stats needs a finite epsilon > 0, got {eps}")
     check_stats_cost([d])
     orders = arith.divisors(d)[1:]
     h = np.concatenate([torsion.class_table(e)["height"] for e in orders])

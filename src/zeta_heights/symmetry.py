@@ -7,13 +7,11 @@ Heights over the torsion grid are invariant under the group generated by
     gamma: (c1, c2) -> (-c1, -c2)
 
 subject to alpha^2 = beta^3 = gamma^2 = 1.  They permute the unit classes
-of each order, so a class table sums one class per orbit, and they map each
-grid cell to its orbit's lexicographically smallest member.
+of each order, so a class table sums one class per orbit.  The group is a
+literal table of its twelve matrices, acting through ``images``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import NontrivialityError
 
@@ -38,50 +36,13 @@ _MATRICES: tuple[_Matrix, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class SymmetryElement:
-    """The group element alpha^e1 * beta^e2 * gamma^e3."""
-
-    e1: int
-    e2: int
-    e3: int
-
-    def __post_init__(self) -> None:
-        if self.e1 not in (0, 1) or self.e2 not in (0, 1, 2) or self.e3 not in (0, 1):
-            raise ValueError(f"exponents out of range: {(self.e1, self.e2, self.e3)}")
-
-    @property
-    def matrix(self) -> _Matrix:
-        return _MATRICES[6 * self.e1 + 2 * self.e2 + self.e3]
-
-
-def elements() -> tuple[SymmetryElement, ...]:
-    """All twelve group elements, in lexicographic (e1, e2, e3) order."""
-    return tuple(
-        SymmetryElement(e1, e2, e3) for e1 in (0, 1) for e2 in (0, 1, 2) for e3 in (0, 1)
-    )
-
-
-def matrices() -> tuple[_Matrix, ...]:
-    return _MATRICES
-
-
 def images(c1, c2, d: int):
-    """The twelve images g.(c1, c2) mod d, in elements() order.
+    """The twelve images g.(c1, c2) mod d, in the order of _MATRICES.
 
     c1 and c2 may be ints or integer arrays of one shape.
     """
     for (m11, m12), (m21, m22) in _MATRICES:
         yield (m11 * c1 + m12 * c2) % d, (m21 * c1 + m22 * c2) % d
-
-
-def apply(g: SymmetryElement, c: Pair, d: int) -> Pair:
-    """Apply g to the residue pair c, reduced mod d into [0, d)."""
-    if d < 1:
-        raise ValueError(f"modulus must be >= 1, got {d}")
-    m = g.matrix
-    c1, c2 = c
-    return ((m[0][0] * c1 + m[0][1] * c2) % d, (m[1][0] * c1 + m[1][1] * c2) % d)
 
 
 def _check_nontrivial(c: Pair, d: int) -> None:

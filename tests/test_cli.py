@@ -1,13 +1,15 @@
+import hashlib
 import json
 import math
 import os
 import threading
+import tracemalloc
 import warnings
 
 import pytest
 import quad_reference
 
-from zeta_heights import cli, grid, quad, torsion
+from zeta_heights import amoeba, cli, grid, quad, torsion
 
 
 def run(capsys, *argv):
@@ -150,6 +152,15 @@ class TestStats:
         for spec in ("2:2000", "30000:30000", "2:1000000000"):
             assert cli.main(["stats", "--d-range", spec]) == 2
             assert capsys.readouterr().err.endswith(f"above the limit {grid.MAX_STATS_SUMMANDS}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("stats", "--d-range", "5:6", "--epsilon", "nan"),
+        ("stats", "--d-range", "5:6", "--epsilon", "-1"),
+        ("grid", "--d", "5", "--format", "json", "--epsilon", "nan"),
+    ])
+    def test_bad_epsilon_exits_2(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 2 and out == ""
 
     def test_threads_start_no_thread(self, capsys, monkeypatch):
         def refuse(self):
@@ -388,6 +399,53 @@ class TestAmoeba:
 
     def test_dual_outside_simplex_exits_2(self, capsys):
         assert cli.main(["amoeba", "--dual", "0.8,0.8"]) == 2
+
+    @pytest.mark.parametrize("x", ["nan,0.1", "0.1,nan", "nan,nan"])
+    def test_dual_nan_exits_2(self, capsys, x):
+        code, out = run(capsys, "amoeba", "--dual", x)
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("spec", ["0:1:1000,0:1:101", "0:1:100001,0:1:1", "0:1:1,0:1:2000000"])
+    def test_lattice_limit_checked_before_quadrature(self, capsys, monkeypatch, spec):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated a lattice above the limit")
+
+        monkeypatch.setattr(amoeba, "ronkin_batch", refuse)
+        assert cli.main(["amoeba", f"--ronkin-samples={spec}"]) == 2
+        assert capsys.readouterr().err.endswith(f"above the limit {cli.MAX_RONKIN_SAMPLES}\n")
+
+    def test_lattice_at_the_limit_in_bounded_batches(self, capsys, monkeypatch):
+        sizes = []
+
+        def zeros(points, **tol):
+            sizes.append(len(points))
+            return [0.0] * len(points)
+
+        monkeypatch.setattr(amoeba, "ronkin_batch", zeros)
+        code, out = run(capsys, "amoeba", f"--ronkin-samples=0:1:1,0:1:{cli.MAX_RONKIN_SAMPLES}")
+        assert code == 0 and len(out.splitlines()) == 1 + cli.MAX_RONKIN_SAMPLES
+        assert max(sizes) == cli.RONKIN_BATCH and sum(sizes) == cli.MAX_RONKIN_SAMPLES
+
+    def test_long_row_memory_bounded(self, capsys):
+        # as one batch, this row peaked at 7.4 MiB; its output is 0.2 MB
+        tracemalloc.start()
+        try:
+            code = cli.main(["amoeba", "--ronkin-samples=0.5:0.5:1,-5:5:5000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(capsys.readouterr().out.splitlines()) == 5001
+        assert peak < 3 << 20
+
+    @pytest.mark.parametrize("spec, digest", [
+        # rows longer than one batch, and batches that span rows
+        ("-5.2:4.9:3,-5.5:5.1:250", "4b1f6bafb64a74b60c7a0e6ae53fcf8ab21fe7feb547b137a3e702ba5571cc79"),
+        ("-2:2:150,0.3:0.3:1", "d3a15ba60acd5d7f8dcbdd60c80d5cfe3030e3193d6274cb45fc27d058cf54d1"),
+    ])
+    def test_lattice_bytes_match_one_batch_per_row(self, capsys, spec, digest):
+        # digests of the output when each row of the lattice was one batch
+        code, out = run(capsys, "amoeba", f"--ronkin-samples={spec}")
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_requires_a_query(self, capsys):
         assert cli.main(["amoeba"]) == 2

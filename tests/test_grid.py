@@ -99,25 +99,12 @@ class TestComputeGrid:
             assert math.isnan(shared[0, 0])
             assert np.array_equal(shared.ravel()[1:], naive.ravel()[1:])
 
-    def test_thread_count_independent(self):
-        one = grid.compute_grid(60, threads=1)
-        many = grid.compute_grid(60, threads=4)
-        assert np.array_equal(one.nontrivial_values(), many.nontrivial_values())
-        assert np.array_equal(one.rep_codes, many.rep_codes)
-
-    def test_threads_default_from_env(self, monkeypatch):
-        monkeypatch.setenv(grid.THREADS_ENV_VAR, "3")
-        from_env = grid.compute_grid(40)
-        explicit = grid.compute_grid(40, threads=1)
-        assert np.array_equal(from_env.nontrivial_values(), explicit.nontrivial_values())
-
     def test_representative_map(self):
         g = grid.compute_grid(12)
         from zeta_heights import symmetry
 
         for c1, c2 in [(1, 5), (7, 7), (0, 3)]:
-            assert g.representative(c1, c2) == symmetry.canonical_representative((c1, c2), 12)
-            rep = g.representative(c1, c2)
+            rep = symmetry.canonical_representative((c1, c2), 12)
             assert g.values[c1, c2] == g.values[rep]
 
     def test_range_of_values(self):
@@ -158,8 +145,8 @@ class TestComputeGrid:
             raise AssertionError("compute_grid started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        one = grid.compute_grid(60, threads=1)
-        many = grid.compute_grid(60, threads=8)
+        one = grid.compute_grid(60)
+        many = grid.compute_grid(60)
         assert np.array_equal(one.nontrivial_values(), many.nontrivial_values())
 
 
@@ -215,7 +202,7 @@ class TestStats:
 
     def test_forms_no_grid(self):
         # from empty caches; a 4096 x 4096 float grid alone is 128 MiB
-        for fn in (torsion.class_table, torsion._units_array, torsion._inverses, torsion._log_distances):
+        for fn in (torsion.class_table, torsion._units_array, torsion._inverses):
             fn.cache_clear()
         tracemalloc.start()
         try:
@@ -229,6 +216,15 @@ class TestStats:
     def test_domain(self):
         with pytest.raises(ValueError, match="d >= 2"):
             grid.stats(1, 0.1)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+    def test_epsilon_refused_before_any_table(self, monkeypatch, eps):
+        def refuse(e):
+            raise AssertionError(f"built the class table of order {e}")
+
+        monkeypatch.setattr(torsion, "class_table", refuse)
+        with pytest.raises(ValueError, match="finite epsilon > 0"):
+            grid.stats(12, eps)
 
 
 class TestStatsCost:
@@ -298,13 +294,6 @@ class TestSmallHeightCensus:
     def test_eps_validated(self):
         with pytest.raises(ValueError):
             small_height_census(5, 0.0)
-
-
-class TestThreadEnvFallback:
-    def test_garbage_env_falls_back_to_one(self, monkeypatch):
-        monkeypatch.setenv(grid.THREADS_ENV_VAR, "lots")
-        g = grid.compute_grid(6)
-        assert np.array_equal(g.nontrivial_values(), grid.compute_grid(6, threads=1).nontrivial_values())
 
 
 class TestExactOrbitEquality:

@@ -138,7 +138,7 @@ class TestUnitsSieve:
 
 
 class TestCacheBound:
-    CACHES = (torsion._units_array, torsion._inverses, torsion._log_distances, torsion.class_table)
+    CACHES = (torsion._units_array, torsion._inverses, torsion.class_table)
 
     def test_bytes_held_stay_under_the_bound(self):
         # 30 prime orders near 10^6 held 206 MiB under entry-count caches
@@ -158,11 +158,11 @@ class TestCacheBound:
         assert held <= torsion.CACHE_BYTES + (1 << 20)
 
     def test_cache_clear_drops_only_its_entries(self):
-        units, logs = torsion._units_array(97), torsion._log_distances(97)
-        assert torsion._log_distances(97) is logs
-        torsion._log_distances.cache_clear()
+        units, inverses = torsion._units_array(97), torsion._inverses(97)
+        assert torsion._inverses(97) is inverses
+        torsion._inverses.cache_clear()
         assert torsion._units_array(97) is units
-        assert torsion._log_distances(97) is not logs
+        assert torsion._inverses(97) is not inverses
 
 
     def test_oversized_value_is_not_cached(self, monkeypatch):
