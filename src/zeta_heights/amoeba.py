@@ -20,6 +20,9 @@ the determinant of its Hessian equals 1/pi^2 on the amoeba's interior.
 The average of -Psi over the amoeba is the limit height eta, giving a
 route to that constant independent of both the zeta series and the torus
 quadrature.
+
+The Legendre dual of rho is closed-form in the Lobachevsky function
+Л(t) = Cl_2(2t)/2 (Passare and Rullgard, Duke Math. J. 121, 2004).
 """
 
 from __future__ import annotations
@@ -30,18 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quad
+from . import constants, quad
 from .errors import IllConditioned
-
-# The objective of the dual search is linear outside a compact neighborhood
-# of the amoeba, so minima for interior simplex points fall well inside
-# this box.
-SEARCH_RADIUS = 25.0
 
 # 171! exceeds the largest double.
 MAX_MOMENT = 170
 
-_COORD_LIMIT = 700.0  # exp(|u|) must stay inside double range
+COORD_LIMIT = 700.0  # exp(|u|) must stay inside double range
 
 _TAU = 2.0 * math.pi
 
@@ -163,8 +161,8 @@ def ronkin_batch(points: list[AmoebaPoint], tol: float = 1e-9) -> list[float]:
     is factored out first, so the evaluation never overflows on the
     supported coordinate range.
     """
-    if any(max(abs(u.u1), abs(u.u2)) > _COORD_LIMIT for u in points):
-        raise ValueError(f"coordinates exceed the supported range +-{_COORD_LIMIT}")
+    if any(max(abs(u.u1), abs(u.u2)) > COORD_LIMIT for u in points):
+        raise ValueError(f"coordinates exceed the supported range +-{COORD_LIMIT}")
     # |1 + r z| = max(1, r) * |1 + rr z'| with rr = min(r, 1/r) <= 1
     scale = [max(0.0, -u.u1) for u in points]
     rr = [math.exp(-abs(u.u1)) for u in points]
@@ -185,43 +183,19 @@ def ronkin(u: AmoebaPoint, tol: float = 1e-9) -> float:
     return ronkin_batch([u], tol)[0]
 
 
-_PATTERN_STEPS = ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
-
-
-def legendre_dual(x: tuple[float, float], tol: float = 1e-9) -> float:
+def legendre_dual(x: tuple[float, float]) -> float:
     """Concave conjugate of the Ronkin function at x in the standard simplex.
 
-    Minimizes u -> <x, u> - rho(u) by pattern search from the origin,
-    halving the step from 1 down to 1e-4 and clamping probes to the search
-    box; the objective is convex, so descent from any start is safe.  On
-    the simplex boundary the true infimum is approached along tentacle
-    directions and the reported value carries the search-box truncation
-    (well below 1e-3).
+    (Л(pi x0) + Л(pi x1) + Л(pi x2))/pi with x0 = 1 - x1 - x2.  Л is odd and
+    pi-periodic, so for a <= b the two smallest x_i (negative ones count as
+    0) this is (Л(pi a) + Л(pi b) - Л(pi (a + b)))/pi, exactly 0 on the edges.
     """
     x1, x2 = float(x[0]), float(x[1])
     if not (x1 >= -1e-12 and x2 >= -1e-12 and x1 + x2 <= 1.0 + 1e-12):  # NaN fails every comparison
         raise ValueError(f"({x1}, {x2}) lies outside the standard simplex")
-
-    r_box = SEARCH_RADIUS
-    u1, u2 = 0.0, 0.0
-
-    def f(probes: list[tuple[float, float]]) -> list[float]:
-        values = ronkin_batch([AmoebaPoint(a, b) for a, b in probes], tol)
-        return [x1 * a + x2 * b - rho for (a, b), rho in zip(probes, values)]
-
-    best = f([(u1, u2)])[0]
-    step = 1.0
-    while step > 1e-4:
-        # all eight probes in one batch; the first improving one in order wins
-        probes = [(min(max(u1 + step * d1, -r_box), r_box), min(max(u2 + step * d2, -r_box), r_box))
-                  for d1, d2 in _PATTERN_STEPS]
-        for (a, b), val in zip(probes, f(probes)):
-            if val < best - 1e-15:
-                best, u1, u2 = val, a, b
-                break
-        else:
-            step *= 0.5
-    return best
+    a, b, _ = sorted(max(0.0, c) for c in (1.0 - x1 - x2, x1, x2))
+    cl = constants.clausen2(_TAU * np.array([a, b, a + b]))  # Cl_2(2 pi t) = 2 Л(pi t)
+    return float(cl[0] + cl[1] - cl[2]) / _TAU
 
 
 def monge_ampere_density(u: AmoebaPoint, h: float = 1e-2, tol: float = 1e-10) -> float:

@@ -158,14 +158,17 @@ def cmd_curve(args: argparse.Namespace) -> str:
 
 
 def _sample_axes(spec: str) -> list[list[float]]:
-    """The two axes of a LO:HI:N,LO:HI:N lattice, refused above MAX_RONKIN_SAMPLES points before they are built."""
+    """The two axes of a LO:HI:N,LO:HI:N lattice; its size and range are checked before any quadrature."""
     axes = [(float(lo), float(hi), int(n)) for lo, hi, n in (axis.split(":") for axis in spec.split(","))]
     (_, _, n1), (_, _, n2) = axes
     if min(n1, n2) < 1:
         raise ValueError(f"amoeba: sample counts must be >= 1, got {spec!r}")
     if n1 * n2 > MAX_RONKIN_SAMPLES:
         raise ValueError(f"amoeba: the lattice has {n1 * n2} points, above the limit {MAX_RONKIN_SAMPLES}")
-    return [[lo + (hi - lo) * i / max(1, n - 1) for i in range(n)] for lo, hi, n in axes]
+    values = [[lo + (hi - lo) * i / max(1, n - 1) for i in range(n)] for lo, hi, n in axes]
+    if not all(abs(v) <= amoeba.COORD_LIMIT for axis in values for v in axis):  # NaN fails too
+        raise ValueError(f"amoeba: coordinates exceed the supported range +-{amoeba.COORD_LIMIT}")
+    return values
 
 
 # an absent query reads None: --volume and --psi-average default to None, not False
@@ -191,7 +194,7 @@ def cmd_amoeba(args: argparse.Namespace) -> str:
         return _json_line({**vars(u), "ronkin": amoeba.ronkin(u, **tol)})
     if args.dual is not None:
         x = _parse_pair(args.dual, float)
-        return _json_line({"x1": x[0], "x2": x[1], "value": amoeba.legendre_dual(x, **tol)})
+        return _json_line({"x1": x[0], "x2": x[1], "value": amoeba.legendre_dual(x)})
     pairs = itertools.product(*_sample_axes(args.ronkin_samples))
     lines = ["u1,u2,ronkin"]
     while batch := [amoeba.AmoebaPoint(u1, u2) for u1, u2 in itertools.islice(pairs, RONKIN_BATCH)]:
@@ -257,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ronkin", help="u1,u2")
     p.add_argument("--dual", help="x1,x2 in the standard simplex")
     p.add_argument("--ronkin-samples", help="LO:HI:N,LO:HI:N lattice, CSV output")
-    p.add_argument("--tol", type=float, help="default: 1e-9 for --ronkin/--dual/--ronkin-samples, 1e-10 otherwise")
+    p.add_argument("--tol", type=float, help="default 1e-9 for --ronkin/--ronkin-samples, else 1e-10; --dual ignores it")
     p.add_argument("--out")
 
     return parser

@@ -1,6 +1,7 @@
 import math
 from math import exp, log, pi
 
+import dual_reference
 import numpy as np
 import pytest
 import quad_reference
@@ -174,38 +175,54 @@ class TestRonkin:
 
 class TestLegendreDual:
     def test_boundary_vertices_and_edge(self):
-        assert abs(amoeba.legendre_dual((0.0, 0.0))) <= 1e-3
-        assert abs(amoeba.legendre_dual((0.5, 0.5))) <= 1e-3
-        assert abs(amoeba.legendre_dual((1.0, 0.0))) <= 1e-3
-        assert abs(amoeba.legendre_dual((0.0, 0.25))) <= 1e-3
+        for x in [(0.0, 0.0), (0.5, 0.5), (1.0, 0.0), (0.0, 0.25), (0.3, 1.0 - 0.3), (1.0 + 1e-13, 0.0)]:
+            assert amoeba.legendre_dual(x) == 0.0
 
     def test_center_oracle_value(self):
-        # frozen from a dense grid + pattern search run; numerically equals
-        # -ronkin(0,0), though only the oracle value is asserted here
-        got = amoeba.legendre_dual((1.0 / 3.0, 1.0 / 3.0))
-        assert abs(got - 0.3230659472194505) <= 1e-6
+        assert abs(amoeba.legendre_dual((1.0 / 3.0, 1.0 / 3.0)) - THETA) <= 1e-15
 
+    # (Л(pi x0) + Л(pi x1) + Л(pi x2))/pi with mpmath clsin at 40 digits
     @pytest.mark.parametrize("x, expected", [
-        ((0.2, 0.3), 0.2836412401399345),
-        ((0.6, 0.1), 0.20427427555674244),
-        ((0.05, 0.8), 0.10997269842528021),
-        ((0.872195468024335, 0.01851721767021075), 0.05244998452242064),
+        ((0.2, 0.3), 0.28364123998694401214),
+        ((0.6, 0.1), 0.20427427541096924821),
+        ((0.05, 0.8), 0.10997269533486657222),
+        ((0.872195468024335, 0.01851721767021075), 0.052449950744420372445),
     ])
     def test_frozen_values(self, x, expected):
-        assert abs(amoeba.legendre_dual(x) - expected) <= 1e-9
+        assert abs(amoeba.legendre_dual(x) - expected) <= 1e-14
+
+    def test_symmetric_in_the_three_coordinates(self):
+        x1, x2 = 0.15, 0.6
+        x0 = 1.0 - x1 - x2
+        values = [amoeba.legendre_dual(x) for x in [(x1, x2), (x2, x1), (x0, x1), (x1, x0), (x0, x2), (x2, x0)]]
+        assert max(values) - min(values) <= 1e-15
+
+    def test_against_reference_search(self):
+        # the quadrature pattern search stops at step 1e-4; its own error
+        # peaks at 1.6e-8 at (0.85, 0.05) on this grid
+        worst = max(abs(amoeba.legendre_dual((i / 20, j / 20)) - dual_reference.legendre_dual((i / 20, j / 20)))
+                    for i in range(1, 19) for j in range(1, 20 - i))
+        assert worst <= 2e-8
 
     def test_nonnegative_on_simplex(self):
         rng = np.random.default_rng(17)
-        for _ in range(8):
+        for _ in range(200):
             x1 = rng.uniform(0.0, 1.0)
             x2 = rng.uniform(0.0, 1.0 - x1)
-            assert amoeba.legendre_dual((x1, x2)) >= -1e-8
+            assert amoeba.legendre_dual((x1, x2)) >= 0.0
 
     def test_outside_simplex_rejected(self):
         with pytest.raises(ValueError):
             amoeba.legendre_dual((0.7, 0.7))
         with pytest.raises(ValueError):
             amoeba.legendre_dual((-0.2, 0.1))
+
+    def test_integrates_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(amoeba, "ronkin_batch", refuse)
+        assert amoeba.legendre_dual((0.2, 0.3)) > 0.0
 
 
 class TestMongeAmpere:
@@ -235,8 +252,8 @@ class TestMongeAmpere:
 class TestBatchedQueries:
     # values of the depth-first engine, one ronkin call per probe
     @pytest.mark.parametrize("query, bits", [
-        (lambda: amoeba.legendre_dual((0.2, 0.3)), "0x1.2272d968caa6ap-2"),
-        (lambda: amoeba.legendre_dual((0.6, 0.1)), "0x1.a25a8d277141ap-3"),
+        (lambda: dual_reference.legendre_dual((0.2, 0.3)), "0x1.2272d968caa6ap-2"),
+        (lambda: dual_reference.legendre_dual((0.6, 0.1)), "0x1.a25a8d277141ap-3"),
         (lambda: amoeba.monge_ampere_density(AmoebaPoint(0.0, 0.0)), "0x1.9f02f62abb6d8p-4"),
         (lambda: amoeba.monge_ampere_density(AmoebaPoint(0.3, -0.2)), "0x1.9f02f69599353p-4"),
     ], ids=["dual-0.2,0.3", "dual-0.6,0.1", "monge-0,0", "monge-0.3,-0.2"])

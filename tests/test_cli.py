@@ -414,6 +414,15 @@ class TestAmoeba:
         assert cli.main(["amoeba", f"--ronkin-samples={spec}"]) == 2
         assert capsys.readouterr().err.endswith(f"above the limit {cli.MAX_RONKIN_SAMPLES}\n")
 
+    @pytest.mark.parametrize("spec", ["0:800:300,0:1:300", "0:1:2,-701:0:3", "0:nan:3,0:1:3"])
+    def test_lattice_range_checked_before_quadrature(self, capsys, monkeypatch, spec):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated a lattice outside the coordinate range")
+
+        monkeypatch.setattr(amoeba, "ronkin_batch", refuse)
+        assert cli.main(["amoeba", f"--ronkin-samples={spec}"]) == 2
+        assert capsys.readouterr().err.endswith(f"supported range +-{amoeba.COORD_LIMIT}\n")
+
     def test_lattice_at_the_limit_in_bounded_batches(self, capsys, monkeypatch):
         sizes = []
 

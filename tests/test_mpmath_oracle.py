@@ -1,4 +1,4 @@
-"""The special values and heights against an mpmath oracle at 40 digits.
+"""The special values, the Clausen function, the Legendre dual and heights against an mpmath oracle at 40 digits.
 
 The oracle uses mpmath's zeta and Clausen functions, and sums each height
 over the full Galois orbit at the level d of the pair, with complex
@@ -6,14 +6,16 @@ exponentials; it shares no code with the library or with the benchmark's
 oracles.
 """
 
+import functools
 import math
 
+import numpy as np
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
-from zeta_heights import constants, grid  # noqa: E402
+from zeta_heights import amoeba, constants, grid  # noqa: E402
 from zeta_heights.torsion import TorsionPoint, total_height  # noqa: E402
 
 DIGITS = 40
@@ -39,8 +41,21 @@ def height(d, c1, c2):
         return arch - mp.log(primes[0]) / phi_e
 
 
+@functools.cache
+def cl2_turns(x):
+    """Cl_2(2 pi x) = 2 Л(pi x) at 40 digits."""
+    with mp.workdps(DIGITS):
+        return mp.clsin(2, 2 * mp.pi * x)
+
+
+def lobachevsky_dual(x1, x2):
+    """(Л(pi x0) + Л(pi x1) + Л(pi x2))/pi with x0 = 1 - x1 - x2 and Л(t) = Cl_2(2t)/2."""
+    with mp.workdps(DIGITS):
+        return (cl2_turns(1 - mp.mpf(x1) - mp.mpf(x2)) + cl2_turns(x1) + cl2_turns(x2)) / (2 * mp.pi)
+
+
 class TestSpecialValues:
-    @pytest.mark.parametrize("s", [2, 3, 4])
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 6, 22])
     def test_zeta(self, s):
         with mp.workdps(DIGITS):
             assert abs(constants.zeta(s) - mp.zeta(s)) <= 1e-15
@@ -56,6 +71,44 @@ class TestSpecialValues:
     def test_theta(self):
         with mp.workdps(DIGITS):
             assert abs(constants.theta() - 3 * mp.sqrt(3) / (4 * mp.pi) * l_chi3_2()) <= 1e-15
+
+
+class TestClausen:
+    def test_against_clsin(self):
+        # on the argument reduced modulo the double 2 pi, as the library reduces it
+        tau = 2 * math.pi
+        ts = [k / 16 for k in range(-112, 113)] + [math.pi, -math.pi, tau, 3 * tau, 1e-300, 50.0, -1e4]
+        with mp.workdps(DIGITS):
+            worst = max(abs(float(constants.clausen2(t)) - mp.clsin(2, mp.mpf(t) - math.floor(t / tau) * mp.mpf(tau)))
+                        for t in ts)
+        assert worst <= 2e-15
+
+    def test_periodic_in_whole_turns(self):
+        assert constants.clausen2(2 * math.pi * np.array([0.0, 1.0, 2.0, -1.0])).tolist() == [0.0] * 4
+        assert abs(float(constants.clausen2(2 * math.pi * 1.25) - constants.clausen2(math.pi / 2))) <= 1e-15
+
+    def test_array_shape(self):
+        assert constants.clausen2([[0.5, 1.0], [2.0, 3.0]]).shape == (2, 2)
+
+
+class TestLegendreDual:
+    N = 40
+
+    def grid(self):
+        # the closed simplex, 41 points a side; x2 = 1 - x1 puts the last
+        # point of a row on the edge x0 = 0 exactly
+        for i in range(self.N + 1):
+            for j in range(self.N + 1 - i):
+                yield i / self.N, (j / self.N if i + j < self.N else 1.0 - i / self.N)
+
+    def test_closed_simplex(self):
+        worst = max(abs(amoeba.legendre_dual(x) - lobachevsky_dual(*x)) for x in self.grid())
+        assert worst <= 1e-14
+
+    def test_zero_on_the_edges(self):
+        edges = [x for x in self.grid() if min(x[0], x[1], 1.0 - x[0] - x[1]) == 0.0]
+        assert len(edges) == 3 * self.N
+        assert max(abs(amoeba.legendre_dual(x)) for x in edges) <= 1e-15
 
 
 class TestHeights:
