@@ -165,7 +165,9 @@ def _sample_axes(spec: str) -> list[list[float]]:
         raise ValueError(f"amoeba: sample counts must be >= 1, got {spec!r}")
     if n1 * n2 > MAX_RONKIN_SAMPLES:
         raise ValueError(f"amoeba: the lattice has {n1 * n2} points, above the limit {MAX_RONKIN_SAMPLES}")
-    values = [[lo + (hi - lo) * i / max(1, n - 1) for i in range(n)] for lo, hi, n in axes]
+    # the last value is hi itself: lo + (hi - lo) * (n-1)/(n-1) can round above it
+    values = [[hi if 0 < i == n - 1 else lo + (hi - lo) * i / max(1, n - 1) for i in range(n)]
+              for lo, hi, n in axes]
     if not all(abs(v) <= amoeba.COORD_LIMIT for axis in values for v in axis):  # NaN fails too
         raise ValueError(f"amoeba: coordinates exceed the supported range +-{amoeba.COORD_LIMIT}")
     return values

@@ -147,14 +147,3 @@ def limit_integral(tol: float = 1e-10) -> quad.QuadResult:
     raw = quad.integrate(integrand, 0.0, 4.0 * math.pi / 3.0, tol, break_points=(math.pi,))
     scale = 3.0 / math.pi**2
     return quad.QuadResult(raw.value * scale, raw.err_estimate * scale, raw.evaluations)
-
-
-def limit_integral_pieces(tol: float = 1e-10) -> tuple[float, float]:
-    """The two weighted pieces of the reduced integral, by direct quadrature.
-
-    Closed forms: the first equals (7/4) zeta(3), the second (11/12) zeta(3).
-    """
-    first = quad.integrate(lambda s: s * _log_dist(s), 0.0, math.pi, tol)
-    second = quad.integrate(lambda s: (4.0 * math.pi - 3.0 * s) * _log_dist(s),
-                            math.pi, 4.0 * math.pi / 3.0, tol)
-    return first.value, second.value

@@ -41,15 +41,6 @@ class HeightGrid:
     d: int
     values: np.ndarray
 
-    def height(self, c1: int, c2: int) -> float:
-        if (c1 % self.d, c2 % self.d) == (0, 0):
-            raise ValueError("the sentinel cell (0,0) carries no height")
-        return float(self.values[c1 % self.d, c2 % self.d])
-
-    def nontrivial_values(self) -> np.ndarray:
-        """The d*d - 1 heights in row-major cell order, sentinel skipped by index."""
-        return self.values.ravel()[1:]
-
 
 @dataclass(frozen=True)
 class DistStats:

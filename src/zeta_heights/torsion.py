@@ -16,10 +16,13 @@ residues by g = gcd(c1, c2, d) cuts the orbit from phi(d) to phi(e) terms)
 and every distance |exp(i*theta) - 1| is computed as 2*sin(pi*m/e) from a
 residue m folded into [0, e/2], which avoids cancellation near the
 singularity and makes the result bit-identical across the symmetry orbit
-of (c1, c2).  The units of e are sieved by the primes of e, and the folding
-makes the units k and e - k give the same summand bit for bit, so only the
-units k <= e/2 are summed; with an exactly rounded sum this half-orbit mean
-is the full Galois average to the last bit.
+of (c1, c2).  That distance increases with m, so the largest of the three
+distances of a unit is the one of its largest folded residue: one sine and
+one log per unit.  The units of e are sieved by the primes of e, and the
+folding makes the units k and e - k give the same summand bit for bit, so
+only the units k <= e/2 are summed; with an exactly rounded sum (exact in
+int64 chunks, see ``_exact_sum``) this half-orbit mean is the full Galois
+average to the last bit.
 """
 
 from __future__ import annotations
@@ -157,10 +160,11 @@ def _half_units(e: int) -> np.ndarray:
 
     Every residue is folded to min(m, e - m), so the units k and e - k give
     bit-identical summands and the orbit sum over all units is twice the sum
-    over these.  math.fsum is correctly rounded and doubling is exact, so
-    fsum(all) == 2.0 * fsum(half); dividing by phi(e) gives the same
-    correctly rounded quotient as dividing fsum(half) by len(half) = phi(e)/2.
-    The mean over the half orbit is therefore the Galois average, bit for bit.
+    over these.  ``_exact_sum`` (like math.fsum) is correctly rounded and
+    doubling is exact, so the sum over all units is 2.0 * the sum over half;
+    dividing by phi(e) gives the same correctly rounded quotient as dividing
+    the half sum by len(half) = phi(e)/2.  The mean over the half orbit is
+    therefore the Galois average, bit for bit.
     """
     k = _units_array(e)
     return k[: (len(k) + 1) // 2]
@@ -184,21 +188,68 @@ def _root_distances(residues: np.ndarray, e: int) -> np.ndarray:
     return 2.0 * np.sin(np.pi * mhat / e)
 
 
+# Elements of one block of an orbit sum: units of one height, or pairs x
+# units of a table.  A height's summands split into int64 chunks below
+# 2**_CHUNK_BITS, so that a block of chunks sums below 2**63.  On a 2-core
+# Xeon, blocks of 2**16 took 4400 page faults and 1.5x the time of 2**14
+# (none) per height at e = 999983, and blocks of 2**18 took 15104 faults
+# (2**14: about 1000) and 1.4x the time for class_table(4096): glibc
+# malloc hands the freed temporaries back to the system at every block.
+_BLOCK = 1 << 14
+_CHUNK_BITS = 64 - _BLOCK.bit_length()
+
+
+def _folded_max(e: int, c1, c2, k: np.ndarray) -> np.ndarray:
+    """The largest of c1*k, c2*k and (c2 - c1)*k mod e, each folded into [0, e/2].
+
+    2*sin(pi*m/e) increases with m on [0, e/2], so this residue has the
+    largest of the three distances.  (c2 - c1)*k folds as |c2*k - c1*k|.
+    """
+    r1, r2 = c1 * k, c2 * k
+    r1 -= r1 // e * e  # % e: numpy divides by a scalar several times faster than it takes %
+    r2 -= r2 // e * e
+    r3 = np.abs(r2 - r1)
+    return np.maximum(np.maximum(np.minimum(r1, e - r1), np.minimum(r2, e - r2)), np.minimum(r3, e - r3))
+
+
+def _exact_sum(arrays) -> float:
+    """Correctly rounded sum of the values of finite float64 arrays: math.fsum's result, bit for bit.
+
+    Each block of at most _BLOCK values below 2**E splits exactly into
+    int64 chunks trunc(x / 2**s) for s = E - _CHUNK_BITS, E - 2*_CHUNK_BITS,
+    ... until no remainder is left (scaling by 2**-s and x - chunk*2**s are
+    exact), and each chunk sums in int64.  The chunk sums combine as Python
+    ints scaled to the least s, and int / 2**-s rounds once.  A zero sum is
+    +0.0, as math.fsum gives it.
+    """
+    parts = []
+    for a in arrays:
+        for lo in range(0, len(a), _BLOCK):
+            rest = a[lo : lo + _BLOCK]
+            s = math.frexp(float(np.abs(rest).max()))[1]
+            while rest.any():
+                s -= _CHUNK_BITS
+                chunk = np.ldexp(rest, -s).astype(np.int64)
+                parts.append((int(chunk.sum()), s))
+                rest = rest - np.ldexp(chunk, s)
+    low = min((s for _, s in parts), default=0)
+    total = sum(c << (s - low) for c, s in parts)
+    return total / (1 << -low) if low < 0 else float(total << low)
+
+
 def archimedean_height(pt: TorsionPoint) -> float:
     """Galois-orbit average of log max of the three coordinate distances.
 
     Evaluates (1/phi(e)) * sum over units k of e of
     log max(|w2^k - w1^k|, |w2^k - 1|, |w1^k - 1|) at the level of the
-    order e, over the units k <= e/2 only (see ``_half_units``).
+    order e, over the units k <= e/2 only (see ``_half_units``), one block
+    of _BLOCK units at a time.
     """
     _require_nontrivial(pt)
     e, c1, c2 = _reduced(pt)
     k = _half_units(e)
-    t1 = _root_distances((c1 * k) % e, e)
-    t2 = _root_distances((c2 * k) % e, e)
-    td = _root_distances(((c2 - c1) * k) % e, e)
-    summands = np.log(np.maximum(np.maximum(td, t2), t1))
-    return math.fsum(summands.tolist()) / len(k)
+    blocks = (k[lo : lo + _BLOCK] for lo in range(0, len(k), _BLOCK))
+    return _exact_sum(np.log(_root_distances(_folded_max(e, c1, c2, b), e)) for b in blocks) / len(k)
 
 
 @_per_order
@@ -211,22 +262,19 @@ def _inverses(e: int) -> np.ndarray:
 
 
 def _log_distances(e: int) -> np.ndarray:
-    """log |exp(2*pi*i*m/e) - 1| for m in [0, e), -inf at m = 0."""
+    """log |exp(2*pi*i*m/e) - 1| for m in [0, e/2], -inf at m = 0."""
     with np.errstate(divide="ignore"):
-        return np.log(_root_distances(np.arange(e, dtype=np.int64), e))
-
-
-# Elements of one (pairs x units) block of the batched orbit sum.
-_BLOCK = 1 << 18
+        return np.log(_root_distances(np.arange(e // 2 + 1, dtype=np.int64), e))
 
 
 def total_heights(e: int, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """Total heights of the order-e points with primitive residue pairs (c1, c2) mod e.
 
     Bit-identical to ``total_height(TorsionPoint(e, c1, c2)).total``: each
-    orbit sum over the units k <= e/2 gathers from a table of log
-    distances, and log is monotone, so the max of the three logs is the log
-    of the max that ``archimedean_height`` takes.
+    orbit sum over the units k <= e/2 gathers the log distance of the
+    largest folded residue (``_folded_max``, as ``archimedean_height``
+    takes it) from a table over [0, e/2], and sums each row with math.fsum,
+    which rounds the same as ``_exact_sum``.
     """
     if e < 2:
         raise ValueError(f"nontrivial points need order e >= 2, got {e}")
@@ -239,9 +287,7 @@ def total_heights(e: int, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     totals = []
     step = max(1, _BLOCK // len(k))
     for lo in range(0, len(a), step):
-        pk = a[lo : lo + step, None] * k
-        qk = b[lo : lo + step, None] * k
-        logs = np.maximum(np.maximum(table[(qk - pk) % e], table[qk % e]), table[pk % e])
+        logs = table[_folded_max(e, a[lo : lo + step, None], b[lo : lo + step, None], k)]
         totals += [math.fsum(memoryview(row)) / len(k) + nonarch for row in logs]
     return np.array(totals)
 

@@ -8,6 +8,7 @@ import warnings
 
 import pytest
 import quad_reference
+from helpers import height
 
 from zeta_heights import amoeba, cli, grid, quad, torsion
 
@@ -70,7 +71,7 @@ class TestGrid:
         g = grid.compute_grid(9)
         for line in out.strip().splitlines()[1:]:
             c1, c2, h = line.split(",")
-            assert float(h) == g.height(int(c1), int(c2))
+            assert float(h) == height(g, int(c1), int(c2))
 
     def test_pgm_structure(self, capsys):
         code, out = run(capsys, "grid", "--d", "6", "--format", "pgm")
@@ -83,7 +84,7 @@ class TestGrid:
         assert rows[0][0] == 0  # sentinel
         g = grid.compute_grid(6)
         # row index is c2, column index is c1
-        expect = math.floor(255.0 * g.height(3, 1) / math.log(2) + 0.5)
+        expect = math.floor(255.0 * height(g, 3, 1) / math.log(2) + 0.5)
         assert rows[1][3] == expect
         assert all(0 <= v <= 255 for row in rows for v in row)
 
@@ -423,6 +424,12 @@ class TestAmoeba:
         assert cli.main(["amoeba", f"--ronkin-samples={spec}"]) == 2
         assert capsys.readouterr().err.endswith(f"supported range +-{amoeba.COORD_LIMIT}\n")
 
+    def test_lattice_ends_at_hi(self, capsys):
+        # -567.9 + 1267.9 * 2 / 2 rounds to 700.0000000000001, outside the range
+        code, out = run(capsys, "amoeba", "--ronkin-samples=-567.9:700:3,0:0:1")
+        assert code == 0
+        assert out.splitlines()[-1].split(",")[0] == "700"
+
     def test_lattice_at_the_limit_in_bounded_batches(self, capsys, monkeypatch):
         sizes = []
 
@@ -448,7 +455,7 @@ class TestAmoeba:
 
     @pytest.mark.parametrize("spec, digest", [
         # rows longer than one batch, and batches that span rows
-        ("-5.2:4.9:3,-5.5:5.1:250", "4b1f6bafb64a74b60c7a0e6ae53fcf8ab21fe7feb547b137a3e702ba5571cc79"),
+        ("-5.2:4.9:3,-5.5:5.1:250", "20d5d3b3cddaddf710430a797f7fa44a93f3b5be5d7b849daaa1960da4419400"),
         ("-2:2:150,0.3:0.3:1", "d3a15ba60acd5d7f8dcbdd60c80d5cfe3030e3193d6274cb45fc27d058cf54d1"),
     ])
     def test_lattice_bytes_match_one_batch_per_row(self, capsys, spec, digest):

@@ -3,6 +3,7 @@ from math import fsum, log, pi
 
 import numpy as np
 import pytest
+from helpers import limit_integral_pieces
 
 from zeta_heights import constants
 
@@ -73,12 +74,12 @@ class TestLimitIntegral:
         assert abs(res.value - constants.eta()) <= 1e-9
 
     def test_pieces_closed_forms(self):
-        first, second = constants.limit_integral_pieces(1e-10)
+        first, second = limit_integral_pieces(1e-10)
         assert abs(first - 1.75 * constants.zeta(3)) <= 1e-9
         assert abs(second - 11.0 / 12.0 * constants.zeta(3)) <= 1e-9
 
     def test_pieces_assemble_to_eta(self):
-        first, second = constants.limit_integral_pieces(1e-10)
+        first, second = limit_integral_pieces(1e-10)
         assembled = (3.0 / pi**2) * 0.5 * (first + second)
         assert abs(assembled - constants.eta()) <= 1e-9
 

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 from math import fsum, gcd, log, pi
 
 import numpy as np
@@ -196,6 +197,85 @@ class TestHalfOrbit:
         assume(gcd(gcd(c1, c2), e) == 1)
         pt = TorsionPoint(e, c1, c2)
         assert torsion.archimedean_height(pt) == full_orbit_archimedean(pt)
+
+    # orders of point-queries size; their half orbits span 31 and 7 blocks
+    @pytest.mark.parametrize("e, c1, c2", [(999983, 1, 2), (999983, 123457, 999980), (999983, 500000, 3),
+                                           (997920, 1, 2), (997920, 2310, 997919), (997920, 498961, 11)])
+    def test_matches_full_orbit_at_large_orders(self, e, c1, c2):
+        assert len(torsion._half_units(e)) > 6 * torsion._BLOCK
+        pt = TorsionPoint(e, c1, c2)
+        assert torsion.order(pt) == e
+        assert torsion.archimedean_height(pt) == full_orbit_archimedean(pt)
+
+    def test_one_height_near_a_million_peaks_under_8_mib(self):
+        e = 999983
+        torsion._units_array(e)  # the unit cache is warm, as for repeated queries
+        tracemalloc.start()
+        try:
+            torsion.archimedean_height(TorsionPoint(e, 1, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
+
+
+def exactly_rounded(values: list[float]) -> float:
+    """math.fsum, or the exact rational sum rounded once where fsum's partials overflow."""
+    try:
+        return fsum(values)
+    except OverflowError:
+        return float(sum(map(Fraction, values)))
+
+
+class TestExactSum:
+    B = torsion._BLOCK
+
+    def check(self, values: list[float]) -> None:
+        try:
+            want = exactly_rounded(values)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                torsion._exact_sum([np.array(values)])
+            return
+        got = torsion._exact_sum([np.array(values)])
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_matches_fsum_on_any_floats(self, values):
+        self.check(values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, B - 1, B, B + 1, 2**16 - 1, 2**16, 2**16 + 1]),
+           low=st.integers(-1100, 900), span=st.integers(0, 1100), seed=st.integers(0, 2**32 - 1),
+           zeros=st.booleans(), cancel=st.booleans())
+    def test_matches_fsum_on_long_arrays(self, n, low, span, seed, zeros, cancel):
+        # mixed signs, subnormals below 2^-1022, exponents spread over up to 1100 bits
+        rng = np.random.default_rng(seed)
+        x = np.ldexp(rng.uniform(-1.0, 1.0, n), np.minimum(rng.integers(low, low + span + 1, n), 990))
+        if zeros:
+            x[rng.integers(0, n, n // 3 + 1)] = rng.choice([0.0, -0.0])
+        if cancel:
+            x[n // 2 :] = -x[: n - n // 2]
+        self.check(x.tolist())
+
+    @pytest.mark.parametrize("values", [[0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0], [-5e-324, 5e-324],
+                                        [5e-324] * 3, [2.0**-1022, -(2.0**-1074)], [1e308, 1e308],
+                                        [1.7976931348623157e308, 1e292, -1e292], [1e300, 1e-300, -1e300]])
+    def test_edge_cases(self, values):
+        self.check(values)
+
+    def test_sum_past_an_intermediate_overflow(self):
+        big = 1.7976931348623157e308
+        with pytest.raises(OverflowError):
+            fsum([big, big, -big])
+        assert torsion._exact_sum([np.array([big, big, -big])]) == big
+
+    def test_blocks_of_several_arrays(self):
+        values = [0.1] * 10 + [1e16, -1e16] + [0.3] * (self.B + 5)
+        arrays = [np.array(values[:7]), np.array([]), np.array(values[7:])]
+        assert torsion._exact_sum(arrays) == fsum(values)
+        assert torsion._exact_sum([]) == 0.0
 
 
 class TestNonArchimedeanHeight:
