@@ -87,11 +87,9 @@ def clausen2(t: np.ndarray | float) -> np.ndarray:
     return np.where(upper, -value, value)
 
 
-@lru_cache(maxsize=None)
-def l_chi3(s: int = 2) -> float:
-    """L(chi_-3, s) for the odd character mod 3; only s = 2 is supported: (2/sqrt 3) Cl_2(2 pi/3)."""
-    if s != 2:
-        raise ValueError(f"only s = 2 is supported, got {s}")
+@lru_cache(maxsize=1)
+def l_chi3() -> float:
+    """L(chi_-3, 2) for the odd character mod 3: (2/sqrt 3) Cl_2(2 pi/3)."""
     return 2.0 / math.sqrt(3.0) * float(clausen2(_TAU / 3.0))
 
 
@@ -102,7 +100,7 @@ def eta() -> float:
 
 def theta() -> float:
     """The Mahler measure of x0+x1+x2: (3*sqrt(3)/(4*pi)) * L(chi_-3, 2)."""
-    return 3.0 * math.sqrt(3.0) / (4.0 * math.pi) * l_chi3(2)
+    return 3.0 * math.sqrt(3.0) / (4.0 * math.pi) * l_chi3()
 
 
 @lru_cache(maxsize=1)
@@ -112,7 +110,7 @@ def special_values() -> SpecialValues:
         zeta2=zeta(2),
         zeta3=zeta(3),
         zeta4=zeta(4),
-        L_chi3_2=l_chi3(2),
+        L_chi3_2=l_chi3(),
         eta=eta(),
         theta=theta(),
     )
@@ -121,10 +119,6 @@ def special_values() -> SpecialValues:
 def chord(u: np.ndarray) -> np.ndarray:
     """The chord length |e^{iu} - 1| = |2 sin(u/2)|."""
     return np.abs(2.0 * np.sin(0.5 * u))
-
-
-def _log_dist(u: np.ndarray) -> np.ndarray:
-    return np.log(chord(u))
 
 
 def limit_integral(tol: float = 1e-10) -> quad.QuadResult:
@@ -142,7 +136,7 @@ def limit_integral(tol: float = 1e-10) -> quad.QuadResult:
     """
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        return np.minimum(0.5 * u, 2.0 * math.pi - 1.5 * u) * _log_dist(u)
+        return np.minimum(0.5 * u, 2.0 * math.pi - 1.5 * u) * np.log(chord(u))
 
     raw = quad.integrate(integrand, 0.0, 4.0 * math.pi / 3.0, tol, break_points=(math.pi,))
     scale = 3.0 / math.pi**2

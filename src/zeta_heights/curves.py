@@ -21,7 +21,7 @@ import numpy as np
 
 from . import arith, constants, quad
 from .errors import EmptyIntersection
-from .torsion import TorsionPoint, order, total_height
+from .torsion import TorsionPoint, _units_array, order, total_height
 
 # Largest phi(e)*(|a1| + |a2| + |a1 + a2|), the break points limit_height
 # integrates across; 0.2-1.1 s at the limit on a shared 2-core Xeon.
@@ -76,7 +76,7 @@ def segment_offsets(curve: TorsionCurve) -> list[tuple[int, int]]:
     has period exactly 1 and dw is the normalized Euclidean measure.
     """
     _, (r, s) = _basis(curve)
-    return [(j * r, j * s) for j in arith.modular_units(curve.e)]
+    return [(j * r, j * s) for j in _units_array(curve.e).tolist()]
 
 
 def _lattice_hits(m: int, n: int, e: int) -> list[float]:
@@ -140,7 +140,7 @@ def _curve_residues(curve: TorsionCurve, d: int) -> tuple[np.ndarray, np.ndarray
     t = np.arange(d, dtype=np.int64)
     codes = np.concatenate([
         (t * p + u * r) % d * d + (t * q + u * s) % d
-        for u in ((d // curve.e) * j % d for j in arith.modular_units(curve.e))
+        for u in ((d // curve.e) * j % d for j in _units_array(curve.e).tolist())
     ])
     codes.sort()
     return np.divmod(codes[1:] if curve.e == 1 else codes, d)

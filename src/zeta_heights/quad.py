@@ -46,6 +46,12 @@ GAUSS_WEIGHTS[1::2] = np.concatenate([_WG, _WG[2::-1]])
 
 DEFAULT_BUDGET = 10**6
 
+# Most panels one round of a batch may evaluate; each (panels, 15) array of
+# the round then takes 16 MiB.  Converging batches stay far below: at the
+# curve break limit a round holds 15,120 panels.  A batch that would bisect
+# past it stops.
+MAX_ROUND_PANELS = 2**17
+
 # Panels may claim this much of the tolerance on top of their length share;
 # with at most budget/15 panels the floor contributes < 0.1 * tol in total.
 # Without it, panels pinching an integrable singularity can never satisfy a
@@ -127,8 +133,10 @@ def integrate_batch(f: Callable, partitions: Sequence[Sequence[float]], tol: flo
 
     Raises:
         BudgetExceeded: a problem spent its budget before every panel met
-           its tolerance share; carries the best estimate of the first
+           its tolerance share, or the next round would hold more than
+           MAX_ROUND_PANELS panels; carries the best estimate of the first
            such problem (the batch stops in that round).
+        ValueError: the partitions have more than MAX_ROUND_PANELS intervals.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -138,6 +146,8 @@ def integrate_batch(f: Callable, partitions: Sequence[Sequence[float]], tol: flo
     n = len(parts)
     intervals = np.array([p.size - 1 for p in parts])
     total_len = np.array([p[-1] - p[0] for p in parts])
+    if intervals.sum() > MAX_ROUND_PANELS:
+        raise ValueError(f"{intervals.sum()} intervals in one batch, above the limit {MAX_ROUND_PANELS}")
     rows = np.repeat(np.arange(n), intervals)
     lo, hi = np.concatenate([p[:-1] for p in parts]), np.concatenate([p[1:] for p in parts])
     neval = np.zeros(n, dtype=np.int64)
@@ -149,6 +159,9 @@ def integrate_batch(f: Callable, partitions: Sequence[Sequence[float]], tol: flo
         width = hi - lo
         narrow = width <= _WIDTH_FLOOR * np.maximum(np.abs(lo), np.abs(hi))
         accept = exhausted[rows] | narrow | (err <= tol * (width / total_len[rows] + _SHARE_FLOOR))
+        if 2 * np.count_nonzero(~accept) > MAX_ROUND_PANELS:
+            exhausted[rows[~accept]] = True
+            accept[:] = True
         done.append((rows[accept], ik[accept], err[accept]))
         if accept.all() or exhausted.any():
             break

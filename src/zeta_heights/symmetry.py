@@ -13,9 +13,6 @@ literal table of its twelve matrices, acting through ``images``.
 
 from __future__ import annotations
 
-from .errors import NontrivialityError
-
-Pair = tuple[int, int]
 _Matrix = tuple[tuple[int, int], tuple[int, int]]
 
 # alpha^e1 * beta^e2 * gamma^e3 for (e1, e2, e3) in lexicographic order,
@@ -43,20 +40,3 @@ def images(c1, c2, d: int):
     """
     for (m11, m12), (m21, m22) in _MATRICES:
         yield (m11 * c1 + m12 * c2) % d, (m21 * c1 + m22 * c2) % d
-
-
-def _check_nontrivial(c: Pair, d: int) -> None:
-    if (c[0] % d, c[1] % d) == (0, 0):
-        raise NontrivialityError("the trivial pair (0,0) is a fixed point of the whole group")
-
-
-def orbit(c: Pair, d: int) -> set[Pair]:
-    """The set {g.c : g in the group}; its size divides 12."""
-    _check_nontrivial(c, d)
-    return set(images(c[0] % d, c[1] % d, d))
-
-
-def canonical_representative(c: Pair, d: int) -> Pair:
-    """Lexicographically smallest member of the orbit of c; idempotent."""
-    _check_nontrivial(c, d)
-    return min(orbit(c, d))

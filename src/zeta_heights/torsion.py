@@ -350,9 +350,7 @@ def nonarchimedean_height(pt: TorsionPoint) -> float:
     _require_nontrivial(pt)
     e = order(pt)
     lam = arith.von_mangoldt(e)
-    if lam.is_zero:
-        return 0.0
-    return -lam.value / arith.euler_phi(e)
+    return -lam / arith.euler_phi(e) if lam else 0.0
 
 
 def total_height(pt: TorsionPoint) -> HeightBreakdown:

@@ -1,4 +1,5 @@
-"""Accessors that only the tests use: grid cells by residue and the two weighted pieces of the limit integral."""
+"""Helpers that only the tests use: grid cells by residue, the two weighted pieces of the
+limit integral, units by gcd, and symmetry orbits with their canonical representatives."""
 
 from __future__ import annotations
 
@@ -6,7 +7,8 @@ import math
 
 import numpy as np
 
-from zeta_heights import constants, grid, quad
+from zeta_heights import constants, grid, quad, symmetry
+from zeta_heights.errors import NontrivialityError
 
 
 def height(g: grid.HeightGrid, c1: int, c2: int) -> float:
@@ -26,7 +28,29 @@ def limit_integral_pieces(tol: float = 1e-10) -> tuple[float, float]:
 
     Closed forms: the first equals (7/4) zeta(3), the second (11/12) zeta(3).
     """
-    first = quad.integrate(lambda s: s * constants._log_dist(s), 0.0, math.pi, tol)
-    second = quad.integrate(lambda s: (4.0 * math.pi - 3.0 * s) * constants._log_dist(s),
+    first = quad.integrate(lambda s: s * np.log(constants.chord(s)), 0.0, math.pi, tol)
+    second = quad.integrate(lambda s: (4.0 * math.pi - 3.0 * s) * np.log(constants.chord(s)),
                             math.pi, 4.0 * math.pi / 3.0, tol)
     return first.value, second.value
+
+
+def units(d: int) -> list[int]:
+    """Ascending list of k in [1, d] with gcd(k, d) = 1; [1] for d = 1."""
+    return [k for k in range(1, d + 1) if math.gcd(k, d) == 1]
+
+
+def _check_nontrivial(c: tuple[int, int], d: int) -> None:
+    if (c[0] % d, c[1] % d) == (0, 0):
+        raise NontrivialityError("the trivial pair (0,0) is a fixed point of the whole group")
+
+
+def orbit(c: tuple[int, int], d: int) -> set[tuple[int, int]]:
+    """The set {g.c : g in the symmetry group}; its size divides 12."""
+    _check_nontrivial(c, d)
+    return set(symmetry.images(c[0] % d, c[1] % d, d))
+
+
+def canonical_representative(c: tuple[int, int], d: int) -> tuple[int, int]:
+    """Lexicographically smallest member of the orbit of c; idempotent."""
+    _check_nontrivial(c, d)
+    return min(orbit(c, d))

@@ -11,7 +11,7 @@ from math import log, pi
 import numpy as np
 from helpers import limit_integral_pieces, nontrivial_values
 
-from zeta_heights import amoeba, arith, cli, constants, curves, grid, torsion
+from zeta_heights import amoeba, cli, constants, curves, grid, torsion
 from zeta_heights.amoeba import AmoebaPoint
 from zeta_heights.torsion import Extremality, TorsionPoint
 
@@ -81,9 +81,9 @@ def test_criterion_2_range_and_extremal_sets():
 
 def test_criterion_3_nonarchimedean_closed_form():
     exact_ok = True
-    for e in (2, 3, 4, 5, 8, 9, 25):
-        pp = arith.prime_power_decompose(e)
-        expect = -math.log(pp.p) / (pp.p ** (pp.r - 1) * (pp.p - 1))
+    for p, r in ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2)):
+        e = p**r
+        expect = -math.log(p) / (p ** (r - 1) * (p - 1))
         got = torsion.nonarchimedean_height(TorsionPoint(e, 1, 0))
         exact_ok = exact_ok and (got == expect)
     for e in (6, 10, 12, 15):

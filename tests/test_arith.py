@@ -1,10 +1,9 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
-from zeta_heights import arith
+from zeta_heights import arith, torsion
 
 
 def brute_phi(n: int) -> int:
@@ -73,20 +72,35 @@ class TestEulerPhi:
             arith.euler_phi(0)
 
 
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, r) with p**r = n by trial division, None if n >= 2 is not a prime power."""
+    p = next(q for q in range(2, n + 1) if n % q == 0)
+    r = 0
+    while n % p == 0:
+        n //= p
+        r += 1
+    return (p, r) if n == 1 else None
+
+
+def padic_distance_to_one(p: int, d: int) -> float:
+    """|zeta_d - 1|_p for a primitive d-th root of unity: p**(-1/phi(d)) if d is a power of p, else 1."""
+    pp = prime_power(d)
+    return p ** (-1.0 / brute_phi(d)) if pp is not None and pp[0] == p else 1.0
+
+
 class TestVonMangoldt:
     def test_examples(self):
-        assert arith.von_mangoldt(1).is_zero
-        assert arith.von_mangoldt(8) == arith.ExactLog(2)
-        assert arith.von_mangoldt(8).value == math.log(2)
-        assert arith.von_mangoldt(6).is_zero
+        assert arith.von_mangoldt(1) == 0.0
+        assert arith.von_mangoldt(8) == math.log(2)
+        assert arith.von_mangoldt(6) == 0.0
 
     def test_matches_prime_power_decomposition(self):
         for n in range(2, 10**4 + 1):
-            pp = arith.prime_power_decompose(n)
+            pp = prime_power(n)
             lam = arith.von_mangoldt(n)
-            assert (pp is not None) == (not lam.is_zero)
+            assert (pp is not None) == (lam != 0.0)
             if pp is not None:
-                assert lam.base == pp.p
+                assert lam == math.log(pp[0])
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -95,80 +109,69 @@ class TestVonMangoldt:
 
 class TestCyclotomicAtOne:
     def test_examples(self):
-        assert arith.cyclotomic_at_one(5) == 5
-        assert arith.cyclotomic_at_one(9) == 3
-        assert arith.cyclotomic_at_one(6) == 1
+        # Lambda(d) = log Phi_d(1): Phi_d(1) is p for d = p**r and 1 otherwise
+        assert arith.von_mangoldt(5) == math.log(5)
+        assert arith.von_mangoldt(9) == math.log(3)
+        assert arith.von_mangoldt(6) == 0.0
 
     def test_against_polynomial_recursion(self):
         for d in range(2, 201):
-            assert arith.cyclotomic_at_one(d) == sum(cyclotomic_poly(d))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            arith.cyclotomic_at_one(1)
+            assert arith.von_mangoldt(d) == math.log(sum(cyclotomic_poly(d)))
 
 
 class TestPrimePowerDecompose:
     def test_examples(self):
-        assert arith.prime_power_decompose(16) == arith.PrimePower(2, 4)
-        assert arith.prime_power_decompose(7) == arith.PrimePower(7, 1)
-        assert arith.prime_power_decompose(12) is None
+        assert arith._factorize(16) == ((2, 4),)
+        assert arith._factorize(7) == ((7, 1),)
+        assert len(arith._factorize(12)) == 2
 
     def test_reconstructs(self):
         for n in range(2, 2000):
-            pp = arith.prime_power_decompose(n)
-            if pp is not None:
-                assert pp.p**pp.r == n
-
-    def test_prime_power_validates(self):
-        with pytest.raises(ValueError):
-            arith.PrimePower(6, 1)
-        with pytest.raises(ValueError):
-            arith.PrimePower(5, 0)
+            facts = arith._factorize(n)
+            assert (len(facts) == 1) == (prime_power(n) is not None)
+            if len(facts) == 1:
+                (p, r), = facts
+                assert p**r == n
+                assert arith.von_mangoldt(n) == math.log(p)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            arith.prime_power_decompose(1)
+            arith._factorize(0)
 
 
 class TestModularUnits:
     def test_examples(self):
-        assert arith.modular_units(6) == [1, 5]
-        assert arith.modular_units(1) == [1]
-        assert arith.modular_units(10) == [1, 3, 7, 9]
+        assert torsion._units_array(6).tolist() == [1, 5]
+        assert torsion._units_array(1).tolist() == [1]
+        assert torsion._units_array(10).tolist() == [1, 3, 7, 9]
 
     def test_length_is_phi(self):
         for d in range(1, 300):
-            assert len(arith.modular_units(d)) == arith.euler_phi(d)
+            assert len(torsion._units_array(d)) == arith.euler_phi(d)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            arith.modular_units(0)
+            torsion._units_array(0)
 
 
 class TestPadicDistanceToOne:
     def test_power_of_p(self):
-        assert arith.padic_distance_to_one(3, 9) == arith.ExactPower(3, Fraction(-1, 6))
-        assert arith.padic_distance_to_one(2, 2) == arith.ExactPower(2, Fraction(-1, 1))
-        assert arith.padic_distance_to_one(2, 2).value == 0.5
+        assert padic_distance_to_one(3, 9) == 3.0 ** (-1.0 / 6.0)
+        assert padic_distance_to_one(2, 2) == 0.5
+        # log |zeta_e - 1|_p is -Lambda(e)/phi(e) when e is a power of p
+        assert math.log(padic_distance_to_one(3, 9)) == pytest.approx(-arith.von_mangoldt(9) / arith.euler_phi(9), abs=1e-16)
 
     def test_otherwise_one(self):
-        one = arith.padic_distance_to_one(5, 3)
-        assert one.value == 1.0
-        assert arith.padic_distance_to_one(3, 15).value == 1.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            arith.padic_distance_to_one(4, 8)
-        with pytest.raises(ValueError):
-            arith.padic_distance_to_one(3, 1)
+        assert padic_distance_to_one(5, 3) == 1.0
+        assert padic_distance_to_one(3, 15) == 1.0
+        assert arith.von_mangoldt(15) == 0.0
 
 
 class TestExactValueHelpers:
     def test_float_conversion(self):
-        assert float(arith.von_mangoldt(9)) == math.log(3)
-        assert float(arith.von_mangoldt(1)) == 0.0
-        assert float(arith.padic_distance_to_one(2, 4)) == 2.0 ** -0.5
+        # von Mangoldt values are plain floats, exact zero included
+        assert type(arith.von_mangoldt(9)) is float and arith.von_mangoldt(9) == math.log(3)
+        assert type(arith.von_mangoldt(1)) is float and arith.von_mangoldt(1) == 0.0
 
     def test_trial_division_range_guard(self):
         with pytest.raises(ValueError):

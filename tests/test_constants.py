@@ -32,7 +32,7 @@ class TestLChi3:
     def test_two_term_truncation_shape(self):
         # first block of the defining series brackets the value
         assert 1.0 - 1.0 / 4.0 == 0.75
-        assert 0.75 < constants.l_chi3(2) < 0.75 + 1.0 / 16.0
+        assert 0.75 < constants.l_chi3() < 0.75 + 1.0 / 16.0
 
     def test_brute_series(self):
         n = np.arange(1, 10**7 + 1, dtype=float)
@@ -40,14 +40,10 @@ class TestLChi3:
         chi[0::3] = 1.0   # n = 1 mod 3
         chi[1::3] = -1.0  # n = 2 mod 3
         brute = float(np.sum(chi / n**2))
-        assert abs(constants.l_chi3(2) - brute) <= 1e-12
+        assert abs(constants.l_chi3() - brute) <= 1e-12
 
     def test_theta_digits(self):
         assert abs(constants.theta() - 0.323065) <= 1e-6
-
-    def test_unsupported_s(self):
-        with pytest.raises(ValueError):
-            constants.l_chi3(3)
 
 
 class TestLandmarks:

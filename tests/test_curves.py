@@ -10,8 +10,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import quad_reference
+from helpers import units
 
-from zeta_heights import arith, cli, constants, curves, quad
+from zeta_heights import arith, cli, constants, curves, quad, symmetry
 from zeta_heights.curves import TorsionCurve
 from zeta_heights.errors import EmptyIntersection
 from zeta_heights.torsion import TorsionPoint, order, total_height
@@ -37,7 +38,7 @@ def sample_on_curve(curve: TorsionCurve, d: int) -> list[TorsionPoint]:
 
 
 def ref_sample_on_curve(curve: TorsionCurve, d: int) -> list[TorsionPoint]:
-    targets = {(d // curve.e) * j % d for j in arith.modular_units(curve.e)}
+    targets = {(d // curve.e) * j % d for j in units(curve.e)}
     c1g, c2g = np.meshgrid(np.arange(d, dtype=np.int64), np.arange(d, dtype=np.int64), indexing="ij")
     mask = np.isin((curve.a1 * c1g + curve.a2 * c2g) % d, sorted(targets))
     mask[0, 0] = False
@@ -69,13 +70,13 @@ def ref_segment_breaks(p: int, q: int, o1: Fraction, o2: Fraction) -> list[float
 def assert_breaks_match(curve: TorsionCurve) -> int:
     p, q = -curve.a2, curve.a1
     r, s = curves._bezout(curve.a1, curve.a2)
-    units = arith.modular_units(curve.e)
+    js = units(curve.e)
     assert curves._basis(curve) == ((p, q), (r, s))
-    assert curves.segment_offsets(curve) == [(j * r, j * s) for j in units]
-    for j in units:
+    assert curves.segment_offsets(curve) == [(j * r, j * s) for j in js]
+    for j in js:
         expected = ref_segment_breaks(p, q, Fraction(j * r, curve.e), Fraction(j * s, curve.e))
         assert curves._segment_breaks(p, q, j * r, j * s, curve.e) == expected
-    return len(units)
+    return len(js)
 
 
 def assert_points_match(curve: TorsionCurve, d: int) -> None:
@@ -189,7 +190,7 @@ class TestCostGuards:
 
     def test_break_limit(self, monkeypatch):
         monkeypatch.setattr(quad, "integrate_batch", self.refuse)
-        monkeypatch.setattr(arith, "modular_units", self.refuse)
+        monkeypatch.setattr(curves, "_units_array", self.refuse)
         for a1, a2, e in [(1, 1000, 1000), (1, 0, 10**8), (5000, 1, 1)]:
             with pytest.raises(ValueError, match="break points"):
                 curves.limit_height(TorsionCurve(a1, a2, e))
@@ -215,7 +216,7 @@ class TestCostGuards:
         "argv,module,name",
         [
             (["curve", "--a", "1,1000", "--e", "1000"], quad, "integrate"),
-            (["curve", "--a", "1,0", "--e", "100000000"], arith, "modular_units"),
+            (["curve", "--a", "1,0", "--e", "100000000"], curves, "_units_array"),
             (["limits", "--a", "2,-1", "--d-list", "100000000000"], np, "arange"),
             (["limits", "--primes", "2:100000000000"], cli, "bytearray"),
             (["curve", "--a", "1,1000", "--e", "1000"], quad, "integrate_batch"),
@@ -251,6 +252,35 @@ class TestLimitHeight:
     def test_jensen_identity(self):
         res = quad.integrate(lambda w: np.log(np.abs(2.0 * np.sin(math.pi * w))), 0.0, 1.0, 1e-11)
         assert abs(res.value) <= 1e-10
+
+
+class TestCurveSymmetries:
+    @staticmethod
+    def dual_images(a1: int, a2: int) -> list[tuple[int, int]]:
+        """a.M^-1 for the twelve M of the symmetry group: chi^a(c) is unchanged when c -> M c."""
+        out = []
+        for (m11, m12), (m21, m22) in symmetry._MATRICES:
+            det = m11 * m22 - m12 * m21  # +-1, so M^-1 = det * adj(M)
+            out.append((det * (a1 * m22 - a2 * m21), det * (a2 * m11 - a1 * m12)))
+        return out
+
+    @pytest.mark.parametrize("a", [(1, 2), (2, 3), (3, -1)])
+    def test_limit_height_invariant_under_the_group(self, a):
+        images = self.dual_images(*a)
+        assert len(set(images)) == 12
+        values = [curves.limit_height(TorsionCurve(*b, 3), 1e-12) for b in images]
+        assert max(values) - min(values) <= 1e-13
+
+    def test_theta_orbit(self):
+        theta = constants.theta()
+        for a in [(1, 1), (2, -1), (1, -2)]:
+            assert abs(curves.limit_height(TorsionCurve(*a, 1), 1e-13) - theta) <= 1e-14
+
+    def test_order_two_translate(self):
+        assert abs(curves.limit_height(TorsionCurve(1, 0, 2), 1e-13) - log(2)) <= 1e-15
+
+    def test_shared_value(self):
+        assert abs(curves.limit_height(TorsionCurve(1, 2, 1), 1e-13) - curves.limit_height(TorsionCurve(3, -1, 1), 1e-13)) <= 1e-14
 
 
 class TestStrictnessRatio:

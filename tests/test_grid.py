@@ -6,7 +6,7 @@ from math import fsum, log
 
 import numpy as np
 import pytest
-from helpers import height, nontrivial_values
+from helpers import canonical_representative, height, nontrivial_values, orbit, units
 
 from zeta_heights import arith, constants, grid, torsion
 from zeta_heights.torsion import LOG2, TorsionPoint, total_height
@@ -102,10 +102,8 @@ class TestComputeGrid:
 
     def test_representative_map(self):
         g = grid.compute_grid(12)
-        from zeta_heights import symmetry
-
         for c1, c2 in [(1, 5), (7, 7), (0, 3)]:
-            rep = symmetry.canonical_representative((c1, c2), 12)
+            rep = canonical_representative((c1, c2), 12)
             assert g.values[c1, c2] == g.values[rep]
 
     def test_range_of_values(self):
@@ -301,28 +299,24 @@ class TestExactOrbitEquality:
     def test_orbit_members_bit_identical(self):
         # foundation of output determinism: heights are equal floats across
         # each symmetry orbit, not merely close
-        from zeta_heights import symmetry
-
         for d in (36, 48, 60):
             rng = np.random.default_rng(d)
             for _ in range(40):
                 c = (int(rng.integers(d)), int(rng.integers(d)))
                 if c == (0, 0):
                     continue
-                values = {total_height(TorsionPoint(d, *m)).total for m in symmetry.orbit(c, d)}
+                values = {total_height(TorsionPoint(d, *m)).total for m in orbit(c, d)}
                 assert len(values) == 1
 
     def test_unit_multiples_bit_identical(self):
         # the grid kernel sums one unit multiple of a pair and reuses it for all
-        from zeta_heights import arith
-
         for d in (36, 48, 60, 97):
             rng = np.random.default_rng(d)
-            units = arith.modular_units(d)
+            ks = units(d)
             for _ in range(40):
                 c1, c2 = int(rng.integers(d)), int(rng.integers(d))
                 if (c1, c2) == (0, 0):
                     continue
-                k = units[int(rng.integers(len(units)))]
+                k = ks[int(rng.integers(len(ks)))]
                 base = total_height(TorsionPoint(d, c1, c2)).total
                 assert total_height(TorsionPoint(d, k * c1, k * c2)).total == base

@@ -62,7 +62,7 @@ class TestSpecialValues:
 
     def test_l_chi3(self):
         with mp.workdps(DIGITS):
-            assert abs(constants.l_chi3(2) - l_chi3_2()) <= 1e-15
+            assert abs(constants.l_chi3() - l_chi3_2()) <= 1e-15
 
     def test_eta(self):
         with mp.workdps(DIGITS):

@@ -7,7 +7,7 @@ import quad_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeta_heights import quad
+from zeta_heights import cli, quad
 
 # zeta(3) bracketed independently: raw series plus integral tail bounds
 _Z3_HEAD = fsum(k**-3.0 for k in range(1, 10**6 + 1))
@@ -159,3 +159,31 @@ class TestBatch:
         for bad in ([0.0], [0.0, 0.0], [1.0, 0.5, 0.0], [0.0, float("nan")]):
             with pytest.raises(ValueError):
                 quad.integrate_batch(lambda rows, x: x, [[0.0, 1.0], bad], 1e-10)
+
+    def test_round_panels_bounded(self, monkeypatch, capsys):
+        # at 1e-300 no segment converges; the round before the budget trips held 231,108 panels
+        rounds = []
+        panels = quad._panels
+        monkeypatch.setattr(quad, "_panels", lambda f, rows, lo, hi: rounds.append(len(rows)) or panels(f, rows, lo, hi))
+        assert cli.main(["curve", "--a", "1,3", "--tol", "1e-300"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert max(rounds) <= quad.MAX_ROUND_PANELS
+
+    def test_stalled_batch_carries_best_estimate(self):
+        # rounds of 1, 2 and 4 panels per problem fit, the next would hold 2 * MAX_ROUND_PANELS;
+        # the budget of 8 panels per problem keeps an unbounded engine small too
+        n = quad.MAX_ROUND_PANELS // 4
+        with pytest.raises(quad.BudgetExceeded) as info:
+            quad.integrate_batch(lambda rows, x: np.log(x), [[0.0, 1.0]] * n, 1e-300, budget=15 * 8)
+        result = info.value.result
+        assert result.evaluations == 15 * (1 + 2 + 4)
+        assert abs(result.value + 1.0) <= result.err_estimate
+
+    def test_too_many_intervals_refused_before_evaluation(self):
+        def refuse(rows, x):
+            raise AssertionError("evaluated")
+
+        with pytest.raises(ValueError, match="above the limit"):
+            quad.integrate_batch(refuse, [[0.0, 1.0]] * (quad.MAX_ROUND_PANELS + 1), 1e-10)
+        with pytest.raises(ValueError, match="above the limit"):
+            quad.integrate_batch(refuse, [np.linspace(0.0, 1.0, quad.MAX_ROUND_PANELS + 2).tolist()], 1e-10)

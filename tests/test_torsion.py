@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import units
 from zeta_heights import arith, torsion
 from zeta_heights.errors import NontrivialityError
 from zeta_heights.torsion import Extremality, TorsionPoint
@@ -25,23 +26,23 @@ def oracle_total(d: int, c1: int, c2: int) -> float:
     w1 = cmath.exp(2j * pi * c1 / d)
     w2 = cmath.exp(2j * pi * c2 / d)
     terms = []
-    for k in arith.modular_units(d):
+    for k in units(d):
         a, b = w1**k, w2**k
         terms.append(log(max(abs(b - a), abs(b - 1), abs(a - 1))))
     arch = fsum(terms) / len(terms)
     e = d // gcd(gcd(c1, c2), d)
     lam = arith.von_mangoldt(e)
-    return arch + (0.0 if lam.is_zero else -lam.value / arith.euler_phi(e))
+    return arch + (-lam / arith.euler_phi(e) if lam else 0.0)
 
 
 def full_orbit_archimedean(pt: TorsionPoint) -> float:
     """Galois average over every unit of the order, with no k <-> e - k halving.
 
-    math.fsum over all phi(e) units from arith.modular_units of the log of the
+    math.fsum over all phi(e) units from the gcd list ``units`` of the log of the
     largest folded distance from torsion._root_distances, divided by phi(e).
     """
     e, c1, c2 = torsion._reduced(pt)
-    k = np.array(arith.modular_units(e), dtype=np.int64)
+    k = np.array(units(e), dtype=np.int64)
     t1 = torsion._root_distances((c1 * k) % e, e)
     t2 = torsion._root_distances((c2 * k) % e, e)
     td = torsion._root_distances(((c2 - c1) * k) % e, e)
@@ -125,7 +126,7 @@ class TestUnitsSieve:
     def test_matches_modular_units(self):
         for e in [*range(1, 3001), 2**19, 3**12, 999983, 993300, 510510]:
             got = torsion._units_array(e)
-            want = np.array(arith.modular_units(e))
+            want = np.array(units(e))
             assert got.dtype == want.dtype, e
             assert np.array_equal(got, want), e
 
@@ -331,7 +332,7 @@ class TestTotalHeight:
             if (c1, c2) == (0, 0):
                 continue
             base = torsion.total_height(TorsionPoint(d, c1, c2)).total
-            for k in arith.modular_units(d):
+            for k in units(d):
                 moved = torsion.total_height(TorsionPoint(d, k * c1 % d, k * c2 % d)).total
                 assert abs(moved - base) <= 1e-12
 
@@ -386,10 +387,15 @@ class TestNonArchimedeanViaPadicDistances:
         def primes_to(n):
             return [p for p in range(2, n + 1) if all(p % q for q in range(2, p))]
 
+        def padic_distance_to_one(p, e):
+            # |zeta_e - 1|_p = p**(-1/phi(e)) if e is a power of p, else 1
+            m = e
+            while m % p == 0:
+                m //= p
+            return p ** (-1.0 / arith.euler_phi(e)) if m == 1 else 1.0
+
         for d in range(2, 61):
             pt = TorsionPoint(d, 1, 3)
             e = torsion.order(pt)
-            from_distances = fsum(
-                log(float(arith.padic_distance_to_one(p, e))) for p in primes_to(e)
-            )
+            from_distances = fsum(log(padic_distance_to_one(p, e)) for p in primes_to(e))
             assert abs(torsion.nonarchimedean_height(pt) - from_distances) <= 1e-15
