@@ -183,10 +183,10 @@ class TestLegendreDual:
 
     # (Л(pi x0) + Л(pi x1) + Л(pi x2))/pi with mpmath clsin at 40 digits
     @pytest.mark.parametrize("x, expected", [
-        ((0.2, 0.3), 0.28364123998694401214),
-        ((0.6, 0.1), 0.20427427541096924821),
-        ((0.05, 0.8), 0.10997269533486657222),
-        ((0.872195468024335, 0.01851721767021075), 0.052449950744420372445),
+        pytest.param((0.2, 0.3), 0.28364123998694401214, id="x0"),
+        pytest.param((0.6, 0.1), 0.20427427541096924821, id="x1"),
+        pytest.param((0.05, 0.8), 0.10997269533486657222, id="x2"),
+        pytest.param((0.872195468024335, 0.01851721767021075), 0.052449950744420372445, id="x3"),
     ])
     def test_frozen_values(self, x, expected):
         assert abs(amoeba.legendre_dual(x) - expected) <= 1e-14

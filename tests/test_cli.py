@@ -455,8 +455,10 @@ class TestAmoeba:
 
     @pytest.mark.parametrize("spec, digest", [
         # rows longer than one batch, and batches that span rows
-        ("-5.2:4.9:3,-5.5:5.1:250", "20d5d3b3cddaddf710430a797f7fa44a93f3b5be5d7b849daaa1960da4419400"),
-        ("-2:2:150,0.3:0.3:1", "d3a15ba60acd5d7f8dcbdd60c80d5cfe3030e3193d6274cb45fc27d058cf54d1"),
+        pytest.param("-5.2:4.9:3,-5.5:5.1:250", "20d5d3b3cddaddf710430a797f7fa44a93f3b5be5d7b849daaa1960da4419400",
+                     id="-5.2:4.9:3,-5.5:5.1:250"),
+        pytest.param("-2:2:150,0.3:0.3:1", "d3a15ba60acd5d7f8dcbdd60c80d5cfe3030e3193d6274cb45fc27d058cf54d1",
+                     id="-2:2:150,0.3:0.3:1"),
     ])
     def test_lattice_bytes_match_one_batch_per_row(self, capsys, spec, digest):
         # digests of the output when each row of the lattice was one batch

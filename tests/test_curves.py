@@ -148,12 +148,12 @@ class TestBasisAgainstReferences:
     @pytest.mark.parametrize(
         "a1,a2,e,bits",
         [
-            (0, 1, 1, "0x1.18fcd9c5cf8e4p-48"),
-            (2, -1, 1, "0x1.4ad1ccb70904ep-2"),
-            (1, -2, 3, "0x1.1742a6677f658p-1"),
-            (5, -3, 7, "0x1.f5561dd64e1e3p-2"),
-            (3, 1, 4, "0x1.f62bd1bd1e113p-2"),
-            (-4, 5, 8, "0x1.f3883c7913e98p-2"),
+            pytest.param(0, 1, 1, "0x1.18fcd9c5cf8e4p-48", id="0-1-1"),
+            pytest.param(2, -1, 1, "0x1.4ad1ccb70904ep-2", id="2--1-1"),
+            pytest.param(1, -2, 3, "0x1.1742a6677f658p-1", id="1--2-3"),
+            pytest.param(5, -3, 7, "0x1.f5561dd64e1e3p-2", id="5--3-7"),
+            pytest.param(3, 1, 4, "0x1.f62bd1bd1e113p-2", id="3-1-4"),
+            pytest.param(-4, 5, 8, "0x1.f3883c7913e98p-2", id="-4-5-8"),
         ],
     )
     def test_limit_height_bits(self, a1, a2, e, bits):
