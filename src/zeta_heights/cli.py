@@ -145,7 +145,7 @@ def cmd_limits(args: argparse.Namespace) -> str:
         curve = curves.TorsionCurve(*_parse_pair(args.a), 1 if args.e is None else args.e)
     elif args.e is not None:
         raise ValueError("limits: --e needs --a")
-    exp = curves.limit_experiment(curve, d_range, args.tol, random_witness=args.random_witness, seed=args.seed)
+    exp = curves.limit_experiment(curve, d_range, random_witness=args.random_witness, seed=args.seed)
     if args.format == "json":
         return _json_line({"limit": exp.limit, "rows": [vars(r) for r in exp.rows]})
     lines = [f"{r.d},{r.c1},{r.c2},{r.order},{r.height:.17g},{r.gap:.17g},{exp.limit:.17g}" for r in exp.rows]
@@ -154,7 +154,7 @@ def cmd_limits(args: argparse.Namespace) -> str:
 
 def cmd_curve(args: argparse.Namespace) -> str:
     curve = curves.TorsionCurve(*_parse_pair(args.a), args.e)
-    return _json_line({**vars(curve), "value": curves.limit_height(curve, args.tol)})
+    return _json_line({**vars(curve), "value": curves.limit_height(curve)})
 
 
 def _sample_axes(spec: str) -> list[list[float]]:
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", help="LO:HI, take all primes in the range")
     p.add_argument("--a", help="a1,a2 (restrict to a torsion curve)")
     p.add_argument("--e", type=int)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, help="accepted and ignored: the curve limit is a finite Clausen sum")
     p.add_argument("--random-witness", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", default="csv", choices=("csv", "json"))
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="segment-average limit height of a torsion curve")
     p.add_argument("--a", required=True, help="a1,a2 (primitive)")
     p.add_argument("--e", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, help="accepted and ignored: the limit is a finite Clausen sum")
     p.set_defaults(out=None)
 
     p = sub.add_parser("amoeba", help="amoeba membership, moments, Ronkin values")

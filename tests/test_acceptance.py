@@ -135,8 +135,8 @@ def test_criterion_6_amoeba_moments():
 
 
 def test_criterion_7_torsion_curve_limits():
-    flat = abs(curves.limit_height(curves.TorsionCurve(0, 1, 1), 1e-10))
-    mahler_gap = abs(curves.limit_height(curves.TorsionCurve(2, -1, 1), 1e-10) - THETA)
+    flat = abs(curves.limit_height(curves.TorsionCurve(0, 1, 1)))
+    mahler_gap = abs(curves.limit_height(curves.TorsionCurve(2, -1, 1)) - THETA)
     ds = primes_up_to(499)
     heights = [torsion.total_height(TorsionPoint(d, 1, 2)).total for d in ds]
     final_gap = abs(heights[-1] - THETA)

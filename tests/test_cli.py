@@ -331,6 +331,12 @@ class TestCurve:
     def test_invalid_direction_exits_2(self, capsys):
         assert cli.main(["curve", "--a", "2,4", "--e", "1"]) == 2
 
+    @pytest.mark.parametrize("argv", [["curve"], ["limits", "--d-list", "15,30"]])
+    def test_tol_accepted_and_ignored(self, capsys, argv):
+        # the limit is a finite Clausen sum
+        plain = run(capsys, *argv, "--a", "3,5", "--e", "15")
+        assert plain[0] == 0 and run(capsys, *argv, "--a", "3,5", "--e", "15", "--tol", "1e-3") == plain
+
 
 class TestAmoeba:
     def test_moment(self, capsys):

@@ -1,13 +1,15 @@
-"""The special values, the Clausen function, the Legendre dual and heights against an mpmath oracle at 40 digits.
+"""The special values, the Clausen function, the Legendre dual, heights and curve limits against mpmath.
 
-The oracle uses mpmath's zeta and Clausen functions, and sums each height
-over the full Galois orbit at the level d of the pair, with complex
-exponentials; it shares no code with the library or with the benchmark's
-oracles.
+The oracle uses mpmath's zeta and Clausen functions at 40 digits, sums each
+height over the full Galois orbit at the level d of the pair, with complex
+exponentials, and integrates each segment of a torsion curve by mpmath
+quadrature at 20 digits; it shares no code with the library or with the
+benchmark's oracles.
 """
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
-from zeta_heights import amoeba, constants, grid  # noqa: E402
+from zeta_heights import amoeba, constants, curves, grid  # noqa: E402
 from zeta_heights.torsion import TorsionPoint, total_height  # noqa: E402
 
 DIGITS = 40
@@ -124,3 +126,49 @@ class TestHeights:
         worst = max(abs(values[c1, c2] - height(d, c1, c2))
                     for c1 in range(d) for c2 in range(d) if (c1, c2) != (0, 0))
         assert worst <= 1e-14
+
+
+def curve_limit(a1, a2, e):
+    """Mean over the units j of e of the integral over w in [0, 1] of log max |2 sin pi x_i(w)|.
+
+    x_1, x_2 = w*(-a2, a1) + j*(r, s)/e with a1*r + a2*s = 1, and x_3 = x_2 - x_1.
+    The integrand is smooth except where some x_i or some x_i +- x_k is an
+    integer; every such w is a break point of the quadrature.
+    """
+    r, s = next((r, s) for r in range(-abs(a2) - 1, abs(a2) + 2) for s in range(-abs(a1) - 1, abs(a1) + 2)
+                if a1 * r + a2 * s == 1)
+    units = [j for j in range(1, e + 1) if math.gcd(j, e) == 1]
+    total = 0
+    with mp.workdps(20):
+        for j in units:
+            lines = [(-a2, Fraction(j * r, e)), (a1, Fraction(j * s, e))]
+            lines.append((lines[1][0] - lines[0][0], lines[1][1] - lines[0][1]))
+            sums = lines + [(m + sgn * n, c + sgn * d) for i, (m, c) in enumerate(lines) for n, d in lines[i + 1:]
+                            for sgn in (1, -1)]
+            breaks = sorted({(k - c) / m for m, c in sums if m
+                             for k in range(math.floor(min(c, c + m)), math.ceil(max(c, c + m)) + 1)
+                             if 0 < (k - c) / m < 1} | {Fraction(0), Fraction(1)})
+            f = lambda w: mp.log(max(abs(2 * mp.sinpi(m * w + mp.mpf(c.numerator) / c.denominator)) for m, c in lines))
+            total += mp.quad(f, [mp.mpf(b.numerator) / b.denominator for b in breaks])
+        return total / len(units)
+
+
+class TestCurveLimits:
+    @pytest.mark.parametrize("a1, a2, e", [(3, 5, 15), (4, -3, 28), (5, 4, 9)])
+    def test_kinked_curves(self, a1, a2, e):
+        # quadrature that declares only the zeros of the chords is off by 1e-8 to 6e-8 here
+        assert abs(curves.limit_height(curves.TorsionCurve(a1, a2, e)) - curve_limit(a1, a2, e)) <= 1e-14
+
+    # computed identities, found with mpmath pslq at 60 digits and checked here at 40
+    @pytest.mark.parametrize("a2, terms, denominator", [
+        (1, {"1/3": 3}, 2),  # theta
+        (2, {"1/3": 9, "2/5": 5}, 6),
+        (3, {"1/3": -9, "1/4": 16, "2/5": 15, "3/7": 7}, 12),
+    ])
+    def test_clausen_identities(self, a2, terms, denominator):
+        # the sum of c * Cl_2(2 pi x) over {x: c}, divided by denominator * pi
+        with mp.workdps(DIGITS):
+            value = mp.fsum(c * cl2_turns(mp.mpf(Fraction(x).numerator) / Fraction(x).denominator)
+                            for x, c in terms.items()) / (denominator * mp.pi)
+            assert abs(curves.limit_height(curves.TorsionCurve(1, a2, 1)) - value) <= 1e-14
+            assert abs(curve_limit(1, a2, 1) - value) <= 1e-15

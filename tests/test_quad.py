@@ -161,11 +161,12 @@ class TestBatch:
                 quad.integrate_batch(lambda rows, x: x, [[0.0, 1.0], bad], 1e-10)
 
     def test_round_panels_bounded(self, monkeypatch, capsys):
-        # at 1e-300 no segment converges; the round before the budget trips held 231,108 panels
+        # at 1e-300 no point converges; the bound stops the batch after a round of 115,834 panels and
+        # 21,135 evaluations, long before the budget
         rounds = []
         panels = quad._panels
         monkeypatch.setattr(quad, "_panels", lambda f, rows, lo, hi: rounds.append(len(rows)) or panels(f, rows, lo, hi))
-        assert cli.main(["curve", "--a", "1,3", "--tol", "1e-300"]) == 2
+        assert cli.main(["amoeba", "--ronkin-samples=-1:1:101,-1:1:3", "--tol", "1e-300"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert max(rounds) <= quad.MAX_ROUND_PANELS
 
