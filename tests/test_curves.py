@@ -221,6 +221,7 @@ class TestCostGuards:
             (["curve", "--a", "1,0", "--e", "100000000"], curves, "_units_array"),
             (["limits", "--a", "2,-1", "--d-list", "100000000000"], np, "arange"),
             (["limits", "--primes", "2:100000000000"], cli, "bytearray"),
+            (["curve", "--a", "1,1000", "--e", "1000"], quad, "integrate_batch"),
             (["curve", "--a", "1,1000", "--e", "1000"], curves, "_breaks"),
         ],
     )
