@@ -9,20 +9,20 @@ The Ronkin function
 
     rho(u) = -avg over the unit torus of log|1 + z1 e^{-u1} + z2 e^{-u2}|
 
-is evaluated through the inner Jensen identity
-avg_z log|a + b z| = log max(|a|, |b|), which collapses the double average
-to a single integral
+is closed-form in the Lobachevsky function Л(t) = Cl_2(2t)/2 (Passare and
+Rullgard, Duke Math. J. 121, 2004; Maillot, Mem. SMF 80, 2000): on the
+amoeba rho(u) = (a1 u1 + a2 u2 - Л(a0) - Л(a1) - Л(a2))/pi, with a_i the
+angle opposite the side r_i of the triangle (1, e^{-u1}, e^{-u2}), and off
+it rho = Psi(u) = min(0, u1, u2).  The angles come from Kahan's half-angle
+formula, accurate for needle-like triangles (W. Kahan, Miscalculating Area
+and Angles of a Needle-like Triangle, 2014), which the tentacles are.
 
-    rho(u) = -integral(0,1) log max(|1 + e^{-u1} e^{2 pi i s}|, e^{-u2}) ds.
+rho is concave and the determinant of its Hessian equals 1/pi^2 on the
+amoeba's interior.  The average of -Psi over the amoeba is the limit
+height eta, giving a route to that constant independent of both the zeta
+series and the torus quadrature.
 
-rho is concave, coincides with Psi(u) = min(0, u1, u2) off the amoeba, and
-the determinant of its Hessian equals 1/pi^2 on the amoeba's interior.
-The average of -Psi over the amoeba is the limit height eta, giving a
-route to that constant independent of both the zeta series and the torus
-quadrature.
-
-The Legendre dual of rho is closed-form in the Lobachevsky function
-Л(t) = Cl_2(2t)/2 (Passare and Rullgard, Duke Math. J. 121, 2004).
+The Legendre dual of rho is closed-form in Л as well.
 """
 
 from __future__ import annotations
@@ -67,24 +67,20 @@ def psi(u: AmoebaPoint) -> float:
     return min(0.0, u.u1, u.u2)
 
 
-def _triangle_slacks(u: AmoebaPoint) -> tuple[float, float, float]:
+def _triangle_slacks(u1, u2) -> tuple:
     # log((r1+r2)/1), log((1+r2)/r1), log((1+r1)/r2); all >= 0 iff u is in
-    # the amoeba.
-    return (
-        float(np.logaddexp(-u.u1, -u.u2)),
-        float(np.logaddexp(0.0, -u.u2)) + u.u1,
-        float(np.logaddexp(0.0, -u.u1)) + u.u2,
-    )
+    # the amoeba.  Elementwise on arrays.
+    return np.logaddexp(-u1, -u2), np.logaddexp(0.0, -u2) + u1, np.logaddexp(0.0, -u1) + u2
 
 
 def contains(u: AmoebaPoint) -> bool:
     """True iff each of 1, e^{-u1}, e^{-u2} is at most the sum of the others."""
-    return min(_triangle_slacks(u)) >= 0.0
+    return bool(min(_triangle_slacks(u.u1, u.u2)) >= 0.0)
 
 
 def region(u: AmoebaPoint, boundary_tol: float = 1e-12) -> RegionTag:
     """Locate u among the three tentacle regions of the amoeba."""
-    slack = min(_triangle_slacks(u))
+    slack = min(_triangle_slacks(u.u1, u.u2))
     if slack < 0.0:
         return RegionTag.OUTSIDE
     if slack <= boundary_tol:
@@ -135,52 +131,36 @@ def psi_average(tol: float = 1e-10) -> float:
     return -psi_integral / volume(tol)
 
 
-def _switch_breaks(rr: float, floor_log: float) -> tuple[float, ...]:
-    """Parameters s where the scaled modulus crosses the scaled floor.
+def ronkin_batch(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """The Ronkin function of 1 + z1 + z2 at the points (u1[i], u2[i]), in closed form.
 
-    Works on |1 + rr e^{2 pi i s}|^2 = (1-rr)^2 + 4 rr cos(pi s)^2 with
-    rr <= 1, whose two nonnegative terms keep the crossing location
-    accurate even when the modulus nearly vanishes.
+    On the amoeba rho = (a1 u1 + a2 u2 - Л(a0) - Л(a1) - Л(a2))/pi, with a_i
+    the angle opposite the side r_i of the triangle (r0, r1, r2) = (1, e^{-u1},
+    e^{-u2}); off it rho = Psi.  The sides are scaled so that the largest is
+    1, which keeps every exponential in range, and sorted for Kahan's
+    half-angle formula.  Coordinates outside +-COORD_LIMIT, NaN included,
+    raise ValueError.
     """
-    if floor_log > 1.0:  # floor above the largest possible modulus 1 + rr
-        return ()
-    floor = math.exp(floor_log)
-    q = (floor * floor - (1.0 - rr) * (1.0 - rr)) / (4.0 * rr)
-    if not (0.0 < q < 1.0):
-        return ()
-    s_lo = math.acos(math.sqrt(q)) / math.pi
-    return (s_lo, 1.0 - s_lo)
-
-
-def ronkin_batch(points: list[AmoebaPoint], tol: float = 1e-9) -> list[float]:
-    """The Ronkin function of 1 + z1 + z2 at each point, by one adaptive quadrature batch.
-
-    The integrand log max(|1 + e^{-u1} e^{2 pi i s}|, e^{-u2}) is bounded
-    (the floor is positive) with kinks at the crossing parameters, which
-    are declared as break points.  The larger of the moduli 1 and e^{-u1}
-    is factored out first, so the evaluation never overflows on the
-    supported coordinate range.
-    """
-    if any(max(abs(u.u1), abs(u.u2)) > COORD_LIMIT for u in points):
+    u1, u2 = np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)
+    if not (np.all(np.abs(u1) <= COORD_LIMIT) and np.all(np.abs(u2) <= COORD_LIMIT)):  # NaN fails too
         raise ValueError(f"coordinates exceed the supported range +-{COORD_LIMIT}")
-    # |1 + r z| = max(1, r) * |1 + rr z'| with rr = min(r, 1/r) <= 1
-    scale = [max(0.0, -u.u1) for u in points]
-    rr = [math.exp(-abs(u.u1)) for u in points]
-    floor_log = [-u.u2 - sc for u, sc in zip(points, scale)]
-    rr_col, floor_col = np.array(rr)[:, None], np.array(floor_log)[:, None]
-    sq_dist, four_rr = (1.0 - rr_col) * (1.0 - rr_col), 4.0 * rr_col
+    scale = np.maximum(0.0, np.maximum(-u1, -u2))
+    sides = np.exp(-np.stack([scale, u1 + scale, u2 + scale]))
+    order = np.argsort(-sides, axis=0)
+    a, b, c = np.take_along_axis(sides, order, axis=0)  # a >= b >= c
+    # square roots of the four factors of Kahan's area formula; c - (a - b) < 0 off the amoeba
+    x, y, z, w = np.sqrt([a + (b + c), np.maximum(c - (a - b), 0.0), c + (a - b), a + (b - c)])
+    angles = np.empty_like(sides)
+    np.put_along_axis(angles, order, 2.0 * np.arctan2([z * w, y * w, y * z], [x * y, x * z, x * w]), axis=0)
+    cl = constants.clausen2(2.0 * angles)  # Cl_2(2t) = 2 Л(t)
+    rho = (angles[1] * u1 + angles[2] * u2 - 0.5 * (cl[0] + cl[1] + cl[2])) / math.pi
+    inside = np.minimum.reduce(_triangle_slacks(u1, u2)) >= 0.0
+    return np.where(inside, rho, np.minimum(0.0, np.minimum(u1, u2)))
 
-    def integrand(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
-        m2 = sq_dist[rows] + four_rr[rows] * np.cos(math.pi * s) ** 2
-        return np.maximum(0.5 * np.log(m2), floor_col[rows])
 
-    parts = [[0.0, *_switch_breaks(r, fl), 1.0] for r, fl in zip(rr, floor_log)]
-    return [-(sc + res.value) for sc, res in zip(scale, quad.integrate_batch(integrand, parts, tol))]
-
-
-def ronkin(u: AmoebaPoint, tol: float = 1e-9) -> float:
+def ronkin(u: AmoebaPoint) -> float:
     """The Ronkin function of 1 + z1 + z2 at u: ``ronkin_batch`` on one point."""
-    return ronkin_batch([u], tol)[0]
+    return float(ronkin_batch(np.array([u.u1]), np.array([u.u2]))[0])
 
 
 def legendre_dual(x: tuple[float, float]) -> float:
@@ -198,7 +178,7 @@ def legendre_dual(x: tuple[float, float]) -> float:
     return float(cl[0] + cl[1] - cl[2]) / _TAU
 
 
-def monge_ampere_density(u: AmoebaPoint, h: float = 1e-2, tol: float = 1e-10) -> float:
+def monge_ampere_density(u: AmoebaPoint, h: float = 1e-2) -> float:
     """Determinant of the Hessian of -rho at u, expected 1/pi^2 inside.
 
     Central second differences with step h, Richardson-extrapolated with
@@ -217,7 +197,8 @@ def monge_ampere_density(u: AmoebaPoint, h: float = 1e-2, tol: float = 1e-10) ->
 
     # the 3x3 stencils at steps h and h/2, one batch
     keys = [(step, i, j) for step in (h, 0.5 * h) for i in (-1, 0, 1) for j in (-1, 0, 1)]
-    rho = dict(zip(keys, ronkin_batch([AmoebaPoint(u.u1 + i * step, u.u2 + j * step) for step, i, j in keys], tol)))
+    values = ronkin_batch([u.u1 + i * step for step, i, _ in keys], [u.u2 + j * step for step, _, j in keys])
+    rho = dict(zip(keys, values.tolist()))
 
     def det_at(step: float) -> float:
         center = rho[step, 0, 0]

@@ -81,10 +81,22 @@ def clausen2(t: np.ndarray | float) -> np.ndarray:
     t = np.remainder(np.asarray(t, dtype=float), _TAU)
     upper = t > math.pi
     t = np.where(upper, _TAU - t, t)
-    coefficients = [abs(b) / (2 * k * (2 * k + 1)) for k, b in enumerate(_bernoulli(), 1)]
+    t2 = t * t
+    # Horner in place: the two roundings per step of np.polyval, without its temporaries
+    coefficients = _clausen_coefficients()
+    poly = np.full_like(t, coefficients[0])
+    for c in coefficients[1:]:
+        poly *= t2
+        poly += c
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.where(t > 0.0, t - t * np.log(t), 0.0) + t**3 * np.polyval(coefficients[::-1], t * t)
+        value = np.where(t > 0.0, t - t * np.log(t), 0.0) + t**3 * poly
     return np.where(upper, -value, value)
+
+
+@lru_cache(maxsize=1)
+def _clausen_coefficients() -> tuple[float, ...]:
+    """|B_2k|/(2k (2k+1)!) for k = _BERNOULLI_TERMS down to 1, highest order first."""
+    return tuple(abs(b) / (2 * k * (2 * k + 1)) for k, b in reversed(list(enumerate(_bernoulli(), 1))))
 
 
 @lru_cache(maxsize=1)

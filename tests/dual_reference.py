@@ -1,19 +1,21 @@
 """The pattern search that ``amoeba.legendre_dual`` replaced, kept as a numerical reference.
 
 It minimises u -> <x, u> - rho(u) over quadrature values of the Ronkin
-function, independently of the Lobachevsky closed form: from the origin,
-eight probes per step in one ``ronkin_batch`` (the first improving one in
-order wins), the step halving from 1 down to 1e-4, probes clamped to the
-box |u| <= SEARCH_RADIUS.  The objective is convex, so descent from any
-start is safe.  On the simplex boundary the infimum is approached along a
-tentacle and the search stops at the box, well below 1e-3 from 0; at
-interior points 0.05 from every edge it agrees with the closed form to
-about 3e-9.
+function from ``ronkin_reference``, independently of the Lobachevsky
+closed form: from the origin, eight probes per step in one
+``ronkin_batch`` (the first improving one in order wins), the step
+halving from 1 down to 1e-4, probes clamped to the box |u| <=
+SEARCH_RADIUS.  The objective is convex, so descent from any start is
+safe.  On the simplex boundary the infimum is approached along a tentacle
+and the search stops at the box, well below 1e-3 from 0; at interior
+points 0.05 from every edge it agrees with the closed form to about 3e-9.
 """
 
 from __future__ import annotations
 
-from zeta_heights.amoeba import AmoebaPoint, ronkin_batch
+from ronkin_reference import ronkin_batch
+
+from zeta_heights.amoeba import AmoebaPoint
 
 # The objective is linear outside a compact neighborhood of the amoeba, so
 # minima for interior simplex points fall well inside this box.

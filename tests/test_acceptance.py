@@ -153,7 +153,7 @@ def test_criterion_8_ronkin_properties():
     for u1 in lattice:
         for u2 in lattice:
             u = AmoebaPoint(float(u1), float(u2))
-            rho = amoeba.ronkin(u, 1e-9)
+            rho = amoeba.ronkin(u)
             bound = amoeba.psi(u)
             worst_bound = max(worst_bound, rho - bound)
             if not amoeba.contains(u):

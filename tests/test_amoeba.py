@@ -141,7 +141,7 @@ class TestRonkin:
         for u1 in us:
             for u2 in us:
                 u = AmoebaPoint(float(u1), float(u2))
-                rho = amoeba.ronkin(u, 1e-9)
+                rho = amoeba.ronkin(u)
                 bound = amoeba.psi(u)
                 assert rho <= bound + 1e-8
                 if not amoeba.contains(u):
@@ -153,8 +153,8 @@ class TestRonkin:
             a = rng.uniform(-4, 4, size=2)
             b = rng.uniform(-4, 4, size=2)
             mid = 0.5 * (a + b)
-            lhs = amoeba.ronkin(AmoebaPoint(*mid), 1e-9)
-            rhs = 0.5 * (amoeba.ronkin(AmoebaPoint(*a), 1e-9) + amoeba.ronkin(AmoebaPoint(*b), 1e-9))
+            lhs = amoeba.ronkin(AmoebaPoint(*mid))
+            rhs = 0.5 * (amoeba.ronkin(AmoebaPoint(*a)) + amoeba.ronkin(AmoebaPoint(*b)))
             assert lhs >= rhs - 1e-8
 
     def test_against_2d_product_quadrature(self):
@@ -232,6 +232,11 @@ class TestMongeAmpere:
             got = amoeba.monge_ampere_density(u, h=1e-2)
             assert abs(got - target) <= 0.05 * target
 
+    # the Richardson-extrapolated stencil reads 1.3e-10 and 1.7e-9 off here
+    @pytest.mark.parametrize("u", [(0.0, 0.0), (0.3, -0.2)], ids=["0,0", "0.3,-0.2"])
+    def test_density_close_to_exact(self, u):
+        assert abs(amoeba.monge_ampere_density(AmoebaPoint(*u)) - 1.0 / pi**2) <= 3e-9
+
     def test_outside_rejected(self):
         with pytest.raises(IllConditioned):
             amoeba.monge_ampere_density(AmoebaPoint(10.0, 10.0), h=1e-2)
@@ -250,21 +255,28 @@ class TestMongeAmpere:
 
 
 class TestBatchedQueries:
-    # values of the depth-first engine, one ronkin call per probe
+    # values of the depth-first engine, one ronkin_reference call per probe
     @pytest.mark.parametrize("query, bits", [
         (lambda: dual_reference.legendre_dual((0.2, 0.3)), "0x1.2272d968caa6ap-2"),
         (lambda: dual_reference.legendre_dual((0.6, 0.1)), "0x1.a25a8d277141ap-3"),
-        (lambda: amoeba.monge_ampere_density(AmoebaPoint(0.0, 0.0)), "0x1.9f02f62abb6d8p-4"),
-        (lambda: amoeba.monge_ampere_density(AmoebaPoint(0.3, -0.2)), "0x1.9f02f69599353p-4"),
-    ], ids=["dual-0.2,0.3", "dual-0.6,0.1", "monge-0,0", "monge-0.3,-0.2"])
+    ], ids=["dual-0.2,0.3", "dual-0.6,0.1"])
     def test_same_bits_as_depth_first_engine(self, monkeypatch, query, bits):
         assert query().hex() == bits
         monkeypatch.setattr(quad, "integrate_batch", quad_reference.integrate_batch)
         assert query().hex() == bits
 
     def test_batch_equals_points_one_by_one(self):
-        points = [AmoebaPoint(0.0, 0.0), AmoebaPoint(-3.0, 1.5), AmoebaPoint(2.0, -4.0), AmoebaPoint(0.5, 0.5),
-                  AmoebaPoint(0.5, 0.5), AmoebaPoint(-600.0, 650.0)]
-        assert amoeba.ronkin_batch(points) == [amoeba.ronkin(u) for u in points]
-        assert amoeba.ronkin(points[0]).hex() == "-0x1.4ad1ccb709036p-2"
-        assert amoeba.ronkin_batch([]) == []
+        rng = np.random.default_rng(11)
+        points = [(0.0, 0.0), (-3.0, 1.5), (2.0, -4.0), (0.5, 0.5), (0.5, 0.5), (-600.0, 650.0),
+                  (700.0, 1e-300), (-700.0, -700.0), *rng.uniform(-6.0, 6.0, (40, 2)), *rng.uniform(-700.0, 700.0, (20, 2))]
+        u1, u2 = np.array(points).T
+        assert amoeba.ronkin_batch(u1, u2).tolist() == [amoeba.ronkin(AmoebaPoint(a, b)) for a, b in points]
+        # one ulp below mpmath's theta, 0x1.4ad1ccb709037p-2
+        assert amoeba.ronkin(AmoebaPoint(0.0, 0.0)).hex() == "-0x1.4ad1ccb709036p-2"
+        assert amoeba.ronkin_batch([], []).shape == (0,)
+
+    @pytest.mark.parametrize("u1, u2", [(float("nan"), 0.0), (0.0, float("nan")), (float("inf"), 0.0),
+                                        (0.0, -float("inf")), (700.5, 0.0), (0.0, -701.0)])
+    def test_array_form_refuses_bad_coordinates(self, u1, u2):
+        with pytest.raises(ValueError, match="supported range"):
+            amoeba.ronkin_batch(np.array([0.0, u1]), np.array([0.0, u2]))

@@ -6,8 +6,9 @@ import threading
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
-import quad_reference
+import ronkin_reference
 from helpers import height
 
 from zeta_heights import amoeba, cli, grid, quad, torsion
@@ -362,6 +363,13 @@ class TestAmoeba:
         assert json.loads(default)["evaluations"] == 5145
         assert json.loads(loose)["evaluations"] == 1515
 
+    @pytest.mark.parametrize("query", [["--ronkin", "0.3,-0.2"], ["--ronkin-samples=-1:1:101,-1:1:3"],
+                                       ["--dual", "0.2,0.3"]])
+    def test_tol_accepted_and_ignored(self, capsys, query):
+        # closed forms; at 1e-300 the Ronkin lattice used to stop quadrature on the round-panel bound
+        plain = run(capsys, "amoeba", *query)
+        assert plain[0] == 0 and run(capsys, "amoeba", *query, "--tol", "1e-300") == plain
+
     def test_volume_honours_tol(self, capsys):
         _, default = run(capsys, "amoeba", "--volume")
         _, loose = run(capsys, "amoeba", "--volume", "--tol", "1e-3")
@@ -391,12 +399,11 @@ class TestAmoeba:
         assert lines[0] == "u1,u2,ronkin"
         assert len(lines) == 7
 
-    def test_ronkin_lattice_matches_reference_engine(self, capsys, monkeypatch):
-        argv = ("amoeba", "--ronkin-samples=-5.2:4.9:21,-5.5:5.1:17")
-        _, batched = run(capsys, *argv)
-        monkeypatch.setattr(quad, "integrate_batch", quad_reference.integrate_batch)
-        _, reference = run(capsys, *argv)
-        assert batched == reference and len(batched.splitlines()) == 1 + 21 * 17
+    def test_ronkin_lattice_matches_reference_engine(self, capsys):
+        _, out = run(capsys, "amoeba", "--ronkin-samples=-5.2:4.9:21,-5.5:5.1:17")
+        rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
+        reference = ronkin_reference.ronkin_batch([amoeba.AmoebaPoint(u1, u2) for u1, u2, _ in rows])
+        assert len(rows) == 21 * 17 and max(abs(rho - ref) for (_, _, rho), ref in zip(rows, reference)) <= 1e-9
 
     def test_volume_and_ronkin(self, capsys):
         code, out = run(capsys, "amoeba", "--volume")
@@ -439,9 +446,9 @@ class TestAmoeba:
     def test_lattice_at_the_limit_in_bounded_batches(self, capsys, monkeypatch):
         sizes = []
 
-        def zeros(points, **tol):
-            sizes.append(len(points))
-            return [0.0] * len(points)
+        def zeros(u1, u2):
+            sizes.append(len(u1))
+            return np.zeros(len(u1))
 
         monkeypatch.setattr(amoeba, "ronkin_batch", zeros)
         code, out = run(capsys, "amoeba", f"--ronkin-samples=0:1:1,0:1:{cli.MAX_RONKIN_SAMPLES}")
@@ -460,16 +467,15 @@ class TestAmoeba:
         assert peak < 3 << 20
 
     @pytest.mark.parametrize("spec, digest", [
-        # rows longer than one batch, and batches that span rows
-        pytest.param("-5.2:4.9:3,-5.5:5.1:250", "20d5d3b3cddaddf710430a797f7fa44a93f3b5be5d7b849daaa1960da4419400",
-                     id="-5.2:4.9:3,-5.5:5.1:250"),
-        pytest.param("-2:2:150,0.3:0.3:1", "d3a15ba60acd5d7f8dcbdd60c80d5cfe3030e3193d6274cb45fc27d058cf54d1",
-                     id="-2:2:150,0.3:0.3:1"),
+        pytest.param("-5.2:4.9:3,-5.5:5.1:250", "18a7b736bb83866101ba6e48141c5f8825212320859e86c224e37502273a2acf", id="-5.2:4.9:3,-5.5:5.1:250"),
+        pytest.param("-2:2:150,0.3:0.3:1", "a91a923073d57a5ba335987d8c94c535afd919f18f6803b906232cb5d43c8b7f", id="-2:2:150,0.3:0.3:1"),
     ])
-    def test_lattice_bytes_match_one_batch_per_row(self, capsys, spec, digest):
-        # digests of the output when each row of the lattice was one batch
-        code, out = run(capsys, "amoeba", f"--ronkin-samples={spec}")
-        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    def test_lattice_bytes_match_one_batch_per_row(self, capsys, monkeypatch, spec, digest):
+        # the same bytes in one batch and in batches of 101: rows longer than a batch, batches that span rows
+        for batch in (cli.RONKIN_BATCH, 101):
+            monkeypatch.setattr(cli, "RONKIN_BATCH", batch)
+            code, out = run(capsys, "amoeba", f"--ronkin-samples={spec}")
+            assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_requires_a_query(self, capsys):
         assert cli.main(["amoeba"]) == 2

@@ -4,10 +4,12 @@ from math import fsum, pi
 import numpy as np
 import pytest
 import quad_reference
+import ronkin_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeta_heights import cli, quad
+from zeta_heights import quad
+from zeta_heights.amoeba import AmoebaPoint
 
 # zeta(3) bracketed independently: raw series plus integral tail bounds
 _Z3_HEAD = fsum(k**-3.0 for k in range(1, 10**6 + 1))
@@ -160,15 +162,16 @@ class TestBatch:
             with pytest.raises(ValueError):
                 quad.integrate_batch(lambda rows, x: x, [[0.0, 1.0], bad], 1e-10)
 
-    def test_round_panels_bounded(self, monkeypatch, capsys):
-        # at 1e-300 no point converges; the bound stops the batch after a round of 115,834 panels and
-        # 21,135 evaluations, long before the budget
+    def test_round_panels_bounded(self, monkeypatch):
+        # the Ronkin quadrature on 303 points at once: at 1e-300 no point converges, and the bound stops
+        # the batch after a round of 79,814 panels and 4,695 evaluations, long before the budget
         rounds = []
         panels = quad._panels
         monkeypatch.setattr(quad, "_panels", lambda f, rows, lo, hi: rounds.append(len(rows)) or panels(f, rows, lo, hi))
-        assert cli.main(["amoeba", "--ronkin-samples=-1:1:101,-1:1:3", "--tol", "1e-300"]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert max(rounds) <= quad.MAX_ROUND_PANELS
+        points = [AmoebaPoint(u1, u2) for u1 in np.linspace(-1.0, 1.0, 101).tolist() for u2 in (-1.0, 0.0, 1.0)]
+        with pytest.raises(quad.BudgetExceeded) as info:
+            ronkin_reference.ronkin_batch(points, 1e-300)
+        assert max(rounds) <= quad.MAX_ROUND_PANELS and info.value.result.evaluations < quad.DEFAULT_BUDGET
 
     def test_stalled_batch_carries_best_estimate(self):
         # rounds of 1, 2 and 4 panels per problem fit, the next would hold 2 * MAX_ROUND_PANELS;

@@ -1,18 +1,23 @@
-"""``amoeba.ronkin_batch`` against the closed form of the Ronkin function.
+"""``amoeba.ronkin_batch`` against the closed form of the Ronkin function, evaluated in mpmath.
 
 On the amoeba, rho(u) = (a1 u1 + a2 u2)/pi - (Л(a0) + Л(a1) + Л(a2))/pi,
 where a0, a1, a2 are the angles of the triangle with sides 1, e^{-u1},
 e^{-u2}, each opposite its side, and Л(t) = Cl_2(2t)/2 (Passare and
-Rullgard, Duke Math. J. 121, 2004); off the amoeba rho = Psi.  The oracle
-takes the angles from the law of cosines in mpmath, at a precision that
-grows with |u| so that sides as far apart as e^{+-700} lose nothing, and
-Л from mpmath's ``clsin``.  It shares no code with the library.
+Rullgard, Duke Math. J. 121, 2004); off the amoeba rho = Psi.  The library
+evaluates this formula in doubles; the oracle takes the angles from the law
+of cosines in mpmath, at a precision that grows with |u| so that sides as
+far apart as e^{+-700} lose nothing, and Л from mpmath's ``clsin``.  It
+shares no code with the library.  The formula itself is checked against
+the Jensen-reduced quadrature of ``ronkin_reference``, which uses neither
+angles nor the Clausen function.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+import ronkin_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,10 +27,10 @@ from zeta_heights.amoeba import AmoebaPoint
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
-# the default quadrature tolerance of ronkin_batch; 4500 random points read
-# at most 1.3e-10 inside the amoeba, 4e-16 near its boundary and in the
-# tentacles, and 1.1e-13 (one ulp of Psi) off it at |u| ~ 700
-TOL = 1e-9
+
+def tol(u1: float, u2: float) -> float:
+    # 1 ulp of Psi is 1.1e-13 at |u| ~ 700; 801 points read at most 6.7e-16 * max(1, |u|)
+    return 1e-13 * max(1.0, abs(u1), abs(u2))
 
 
 def rho_closed(u1: float, u2: float) -> float:
@@ -42,9 +47,9 @@ def rho_closed(u1: float, u2: float) -> float:
 
 
 def check(points: list[tuple[float, float]]) -> None:
-    got = amoeba.ronkin_batch([AmoebaPoint(u1, u2) for u1, u2 in points])
-    for (u1, u2), value in zip(points, got):
-        assert abs(value - rho_closed(u1, u2)) <= TOL, (u1, u2)
+    u1, u2 = np.array(points, dtype=float).reshape(-1, 2).T
+    for (a, b), value in zip(points, amoeba.ronkin_batch(u1, u2).tolist()):
+        assert abs(value - rho_closed(a, b)) <= tol(a, b), (a, b)
 
 
 _angle = st.floats(1e-9, math.pi - 1e-9)
@@ -85,6 +90,25 @@ def tentacle(draw):
 class TestClosedForm:
     def test_origin_is_minus_theta(self):
         check([(0.0, 0.0)])
+        with mp.workdps(30):
+            theta = float(3 * mp.clsin(2, 2 * mp.pi / 3) / (2 * mp.pi))
+        assert abs(amoeba.ronkin(AmoebaPoint(0.0, 0.0)) + theta) <= math.ulp(theta)
+
+    def test_formula_against_reference_quadrature(self):
+        # the Jensen-reduced integral at its default tolerance 1e-9
+        grid = np.linspace(-6.0, 6.0, 25)
+        points = [AmoebaPoint(float(a), float(b)) for a in grid for b in grid]
+        u1, u2 = np.array([(u.u1, u.u2) for u in points]).T
+        got = amoeba.ronkin_batch(u1, u2)
+        assert np.abs(got - np.array(ronkin_reference.ronkin_batch(points))).max() <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(near_boundary(), tentacle()), min_size=1, max_size=8))
+    def test_no_floating_point_warnings(self, points):
+        u1, u2 = np.array(points).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(amoeba.ronkin_batch(u1, u2)).all()
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(inside(), min_size=1, max_size=8))
