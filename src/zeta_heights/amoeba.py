@@ -132,7 +132,7 @@ def psi_average(tol: float = 1e-10) -> float:
 
 
 def ronkin_batch(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """The Ronkin function of 1 + z1 + z2 at the points (u1[i], u2[i]), in closed form.
+    """The Ronkin function of 1 + z1 + z2 at the points (u1[i], u2[i]) of two 1-D arrays, in closed form.
 
     On the amoeba rho = (a1 u1 + a2 u2 - Л(a0) - Л(a1) - Л(a2))/pi, with a_i
     the angle opposite the side r_i of the triangle (r0, r1, r2) = (1, e^{-u1},
@@ -142,16 +142,16 @@ def ronkin_batch(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     raise ValueError.
     """
     u1, u2 = np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)
-    if not (np.all(np.abs(u1) <= COORD_LIMIT) and np.all(np.abs(u2) <= COORD_LIMIT)):  # NaN fails too
+    if not ((np.abs(u1) <= COORD_LIMIT).all() and (np.abs(u2) <= COORD_LIMIT).all()):  # NaN fails too
         raise ValueError(f"coordinates exceed the supported range +-{COORD_LIMIT}")
     scale = np.maximum(0.0, np.maximum(-u1, -u2))
-    sides = np.exp(-np.stack([scale, u1 + scale, u2 + scale]))
-    order = np.argsort(-sides, axis=0)
-    a, b, c = np.take_along_axis(sides, order, axis=0)  # a >= b >= c
+    sides = np.exp(-np.array([scale, u1 + scale, u2 + scale]))
+    order, cols = np.argsort(-sides, axis=0), np.arange(sides.shape[1])
+    a, b, c = sides[order, cols]  # a >= b >= c
     # square roots of the four factors of Kahan's area formula; c - (a - b) < 0 off the amoeba
     x, y, z, w = np.sqrt([a + (b + c), np.maximum(c - (a - b), 0.0), c + (a - b), a + (b - c)])
     angles = np.empty_like(sides)
-    np.put_along_axis(angles, order, 2.0 * np.arctan2([z * w, y * w, y * z], [x * y, x * z, x * w]), axis=0)
+    angles[order, cols] = 2.0 * np.arctan2([z * w, y * w, y * z], [x * y, x * z, x * w])
     cl = constants.clausen2(2.0 * angles)  # Cl_2(2t) = 2 Л(t)
     rho = (angles[1] * u1 + angles[2] * u2 - 0.5 * (cl[0] + cl[1] + cl[2])) / math.pi
     inside = np.minimum.reduce(_triangle_slacks(u1, u2)) >= 0.0
@@ -160,7 +160,7 @@ def ronkin_batch(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
 
 def ronkin(u: AmoebaPoint) -> float:
     """The Ronkin function of 1 + z1 + z2 at u: ``ronkin_batch`` on one point."""
-    return float(ronkin_batch(np.array([u.u1]), np.array([u.u2]))[0])
+    return float(ronkin_batch([u.u1], [u.u2])[0])
 
 
 def legendre_dual(x: tuple[float, float]) -> float:

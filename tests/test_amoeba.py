@@ -267,8 +267,8 @@ class TestBatchedQueries:
 
     def test_batch_equals_points_one_by_one(self):
         rng = np.random.default_rng(11)
-        points = [(0.0, 0.0), (-3.0, 1.5), (2.0, -4.0), (0.5, 0.5), (0.5, 0.5), (-600.0, 650.0),
-                  (700.0, 1e-300), (-700.0, -700.0), *rng.uniform(-6.0, 6.0, (40, 2)), *rng.uniform(-700.0, 700.0, (20, 2))]
+        points = [(0.0, 0.0), (-3.0, 1.5), (2.0, -4.0), (0.5, 0.5), (0.5, 0.5), (-600.0, 650.0), (700.0, 1e-300),
+                  (-700.0, -700.0), *rng.uniform(-6.0, 6.0, (40, 2)), *rng.uniform(-700.0, 700.0, (20, 2))]
         u1, u2 = np.array(points).T
         assert amoeba.ronkin_batch(u1, u2).tolist() == [amoeba.ronkin(AmoebaPoint(a, b)) for a, b in points]
         # one ulp below mpmath's theta, 0x1.4ad1ccb709037p-2

@@ -467,8 +467,10 @@ class TestAmoeba:
         assert peak < 3 << 20
 
     @pytest.mark.parametrize("spec, digest", [
-        pytest.param("-5.2:4.9:3,-5.5:5.1:250", "18a7b736bb83866101ba6e48141c5f8825212320859e86c224e37502273a2acf", id="-5.2:4.9:3,-5.5:5.1:250"),
-        pytest.param("-2:2:150,0.3:0.3:1", "a91a923073d57a5ba335987d8c94c535afd919f18f6803b906232cb5d43c8b7f", id="-2:2:150,0.3:0.3:1"),
+        pytest.param("-5.2:4.9:3,-5.5:5.1:250", "18a7b736bb83866101ba6e48141c5f8825212320859e86c224e37502273a2acf",
+                     id="-5.2:4.9:3,-5.5:5.1:250"),
+        pytest.param("-2:2:150,0.3:0.3:1", "a91a923073d57a5ba335987d8c94c535afd919f18f6803b906232cb5d43c8b7f",
+                     id="-2:2:150,0.3:0.3:1"),
     ])
     def test_lattice_bytes_match_one_batch_per_row(self, capsys, monkeypatch, spec, digest):
         # the same bytes in one batch and in batches of 101: rows longer than a batch, batches that span rows

@@ -47,7 +47,7 @@ def rho_closed(u1: float, u2: float) -> float:
 
 
 def check(points: list[tuple[float, float]]) -> None:
-    u1, u2 = np.array(points, dtype=float).reshape(-1, 2).T
+    u1, u2 = np.array(points, dtype=float).T
     for (a, b), value in zip(points, amoeba.ronkin_batch(u1, u2).tolist()):
         assert abs(value - rho_closed(a, b)) <= tol(a, b), (a, b)
 
@@ -96,11 +96,9 @@ class TestClosedForm:
 
     def test_formula_against_reference_quadrature(self):
         # the Jensen-reduced integral at its default tolerance 1e-9
-        grid = np.linspace(-6.0, 6.0, 25)
-        points = [AmoebaPoint(float(a), float(b)) for a in grid for b in grid]
-        u1, u2 = np.array([(u.u1, u.u2) for u in points]).T
-        got = amoeba.ronkin_batch(u1, u2)
-        assert np.abs(got - np.array(ronkin_reference.ronkin_batch(points))).max() <= 1e-9
+        u1, u2 = (axis.ravel() for axis in np.meshgrid(np.linspace(-6.0, 6.0, 25), np.linspace(-6.0, 6.0, 25)))
+        reference = ronkin_reference.ronkin_batch([AmoebaPoint(a, b) for a, b in zip(u1.tolist(), u2.tolist())])
+        assert np.abs(amoeba.ronkin_batch(u1, u2) - reference).max() <= 1e-9
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.one_of(near_boundary(), tentacle()), min_size=1, max_size=8))
