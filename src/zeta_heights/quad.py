@@ -48,7 +48,8 @@ DEFAULT_BUDGET = 10**6
 
 # Most panels one round of a batch may evaluate; each (panels, 15) array of
 # the round then takes 16 MiB.  A batch that would bisect past it stops:
-# a 101 x 3 Ronkin lattice at tol 1e-300 does so after a round of 115,834.
+# the Ronkin quadrature of tests/ronkin_reference.py on 303 points at tol
+# 1e-300 does so after a round of 79,814.
 MAX_ROUND_PANELS = 2**17
 
 # Panels may claim this much of the tolerance on top of their length share;
