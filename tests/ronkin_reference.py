@@ -58,7 +58,3 @@ def ronkin_batch(points: list[AmoebaPoint], tol: float = 1e-9) -> list[float]:
 
     parts = [[0.0, *_switch_breaks(r, fl), 1.0] for r, fl in zip(rr, floor_log)]
     return [-(sc + res.value) for sc, res in zip(scale, quad.integrate_batch(integrand, parts, tol))]
-
-
-def ronkin(u: AmoebaPoint, tol: float = 1e-9) -> float:
-    return ronkin_batch([u], tol)[0]

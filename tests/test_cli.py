@@ -366,7 +366,7 @@ class TestAmoeba:
     @pytest.mark.parametrize("query", [["--ronkin", "0.3,-0.2"], ["--ronkin-samples=-1:1:101,-1:1:3"],
                                        ["--dual", "0.2,0.3"]])
     def test_tol_accepted_and_ignored(self, capsys, query):
-        # closed forms; at 1e-300 the Ronkin lattice used to stop quadrature on the round-panel bound
+        # closed forms: no tolerance reaches them
         plain = run(capsys, "amoeba", *query)
         assert plain[0] == 0 and run(capsys, "amoeba", *query, "--tol", "1e-300") == plain
 
