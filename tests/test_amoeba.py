@@ -251,11 +251,15 @@ class TestMongeAmpere:
 
 
 class TestBatchedQueries:
-    # values of the depth-first engine, one ronkin_reference call per probe
+    # the dual probes: values of the depth-first engine, one ronkin_reference
+    # call per probe; the Monge-Ampere probes: the closed-form Ronkin stencil,
+    # which swapping the quadrature engine must leave bit for bit
     @pytest.mark.parametrize("query, bits", [
         (lambda: dual_reference.legendre_dual((0.2, 0.3)), "0x1.2272d968caa6ap-2"),
         (lambda: dual_reference.legendre_dual((0.6, 0.1)), "0x1.a25a8d277141ap-3"),
-    ], ids=["dual-0.2,0.3", "dual-0.6,0.1"])
+        (lambda: amoeba.monge_ampere_density(AmoebaPoint(0.0, 0.0)), "0x1.9f02f62b5876fp-4"),
+        (lambda: amoeba.monge_ampere_density(AmoebaPoint(0.3, -0.2)), "0x1.9f02f694b258dp-4"),
+    ], ids=["dual-0.2,0.3", "dual-0.6,0.1", "monge-0,0", "monge-0.3,-0.2"])
     def test_same_bits_as_depth_first_engine(self, monkeypatch, query, bits):
         assert query().hex() == bits
         monkeypatch.setattr(quad, "integrate_batch", quad_reference.integrate_batch)
