@@ -7,19 +7,19 @@ integrands may blow up logarithmically at panel endpoints: a panel whose
 endpoints pinch a singularity keeps shrinking geometrically and its
 contribution vanishes with its width.
 
-The engine is level-synchronous (``integrate_batch``): each round
-evaluates every open panel of every problem of a batch in one integrand
-call, accepts panels elementwise and bisects the rest.  The bits equal
-those of one panel at a time in any order: each panel's test reads only
-its own ends, error and tolerance share, its sums are row-wise BLAS ddot,
-and each problem's accepted panels are added with exactly-rounded summation.
+The engine is level-synchronous: each round evaluates all open panels of
+the integral in one integrand call, accepts panels elementwise and bisects
+the rest.  The bits equal those of one panel at a time in any order: each
+panel's test reads only its own ends, error and tolerance share, its sums
+are row-wise BLAS ddot, and the accepted panels are added with
+exactly-rounded summation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -46,10 +46,10 @@ GAUSS_WEIGHTS[1::2] = np.concatenate([_WG, _WG[2::-1]])
 
 DEFAULT_BUDGET = 10**6
 
-# Most panels one round of a batch may evaluate; each (panels, 15) array of
-# the round then takes 16 MiB.  A batch that would bisect past it stops:
-# the Ronkin quadrature of tests/ronkin_reference.py on 303 points at tol
-# 1e-300 does so after a round of 79,814.
+# Most panels one round may evaluate; each (panels, 15) array of the round
+# then takes 16 MiB.  An integral that would bisect past it stops: np.log on
+# [0, 1] at tol 1e-300 with a budget of 10**8 does so after a round of
+# 122,946 panels.  It also bounds the number of intervals.
 MAX_ROUND_PANELS = 2**17
 
 # Panels may claim this much of the tolerance on top of their length share;
@@ -84,20 +84,12 @@ class BudgetExceeded(RuntimeError):
         self.result = result
 
 
-def _edges(part: Sequence[float]) -> list[float]:
-    """The panel edges of part = [a, *break points, b]: a, the distinct breaks inside (a, b) in order, b."""
-    a, b = float(part[0]), float(part[-1])
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    return [a, *sorted(float(p) for p in set(part[1:-1]) if a < p < b), b]
-
-
-def _panels(f: Callable, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod values and error estimates of the panels [lo, hi] of problems rows."""
+def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod values and error estimates of the panels [lo, hi]."""
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     with np.errstate(all="ignore"):
-        y = np.asarray(f(rows, c[:, None] + h[:, None] * NODES), dtype=float)
+        y = np.asarray(f(c[:, None] + h[:, None] * NODES), dtype=float)
         # Non-finite values arise only where node arithmetic rounds onto a
         # singular abscissa, on panels about one ulp wide: count them as 0.
         y = np.where(np.isfinite(y), y, 0.0)
@@ -116,68 +108,6 @@ def _panels(f: Callable, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tu
     return ik, err
 
 
-def integrate_batch(f: Callable, partitions: Sequence[Sequence[float]], tol: float, *,
-                    budget: int = DEFAULT_BUDGET) -> list[QuadResult]:
-    """Integrate problem i over partitions[i] to absolute tolerance tol, for every i.
-
-    Args:
-        f: batched integrand; f(rows, x) gets an (n, 15) array of nodes and
-           the problem index of each row, and returns values of x's shape.
-           It must be finite inside each interval of the partition and may
-           diverge logarithmically at its ends.
-        partitions: [a, *break points, b] per problem, a < b; the distinct
-           break points strictly inside (a, b) are where the integrand is
-           singular or kinked, and no panel evaluates them.
-        tol: absolute tolerance target of each problem.
-        budget: integrand evaluations per interval of a partition.
-
-    Raises:
-        BudgetExceeded: a problem spent its budget before every panel met
-           its tolerance share, or the next round would hold more than
-           MAX_ROUND_PANELS panels; carries the best estimate of the first
-           such problem (the batch stops in that round).
-        ValueError: the partitions have more than MAX_ROUND_PANELS intervals.
-    """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    parts = [_edges(p) for p in partitions]
-    if not parts:
-        return []
-    n = len(parts)
-    intervals = np.array([len(p) - 1 for p in parts])
-    total_len = np.array([p[-1] - p[0] for p in parts])
-    if intervals.sum() > MAX_ROUND_PANELS:
-        raise ValueError(f"{intervals.sum()} intervals in one batch, above the limit {MAX_ROUND_PANELS}")
-    rows = np.repeat(np.arange(n), intervals)
-    lo, hi = np.array([x for p in parts for x in p[:-1]]), np.array([x for p in parts for x in p[1:]])
-    neval = np.zeros(n, dtype=np.int64)
-    done = []
-    while True:
-        ik, err = _panels(f, rows, lo, hi)
-        neval += 15 * np.bincount(rows, minlength=n)
-        exhausted = neval >= budget * intervals
-        width = hi - lo
-        narrow = width <= _WIDTH_FLOOR * np.maximum(np.abs(lo), np.abs(hi))
-        accept = exhausted[rows] | narrow | (err <= tol * (width / total_len[rows] + _SHARE_FLOOR))
-        if 2 * np.count_nonzero(~accept) > MAX_ROUND_PANELS:
-            exhausted[rows[~accept]] = True
-            accept[:] = True
-        done.append((rows[accept], ik[accept], err[accept]))
-        if accept.all() or exhausted.any():
-            break
-        rows, lo, hi = rows[~accept], lo[~accept], hi[~accept]
-        mid = 0.5 * (lo + hi)
-        rows, lo, hi = np.concatenate([rows, rows]), np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    owner, vals, errs = (np.concatenate(z) for z in zip(*done))
-    order = np.argsort(owner, kind="stable")
-    vals, errs, ends = vals[order].tolist(), errs[order].tolist(), np.cumsum(np.bincount(owner, minlength=n)).tolist()
-    results = [QuadResult(math.fsum(vals[i:j]), math.fsum(errs[i:j]), k)
-               for i, j, k in zip([0, *ends], ends, neval.tolist())]
-    if exhausted.any():
-        raise BudgetExceeded(results[int(np.argmax(exhausted))])
-    return results
-
-
 def integrate(
     f: Callable,
     a: float,
@@ -187,13 +117,58 @@ def integrate(
     break_points: Iterable[float] = (),
     budget: int = DEFAULT_BUDGET,
 ) -> QuadResult:
-    """Integrate f over [a, b] to absolute tolerance tol: ``integrate_batch`` on one problem.
+    """Integrate f over [a, b] to absolute tolerance tol.
 
-    f is elementwise (it gets 2-D node arrays); break_points are interior
-    abscissae where it is singular or kinked (others are ignored), and the
-    budget counts integrand evaluations per interval between them.
+    Args:
+        f: elementwise integrand; it gets an (n, 15) array of nodes.  It must
+           be finite inside each interval between break points and may
+           diverge logarithmically at their ends.
+        a, b: finite limits, a < b; for a half-line use integrate_semiinfinite.
+        tol: absolute tolerance target.
+        break_points: abscissae where f is singular or kinked; those strictly
+           inside (a, b) split it into intervals, and no panel evaluates them.
+        budget: integrand evaluations per interval.
+
+    Raises:
+        BudgetExceeded: the budget ran out before every panel met its
+           tolerance share, or the next round would hold more than
+           MAX_ROUND_PANELS panels; carries the best estimate.
+        ValueError: bad limits or tolerance, or more than MAX_ROUND_PANELS
+           intervals.
     """
-    return integrate_batch(lambda rows, x: f(x), [[a, *break_points, b]], tol, budget=budget)[0]
+    if not tol > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    a, b = float(a), float(b)
+    if not math.isfinite(b - a):
+        raise ValueError(f"need finite limits, got [{a}, {b}]; integrate_semiinfinite takes half-lines")
+    if not a < b:
+        raise ValueError(f"need a < b, got [{a}, {b}]")
+    edges = [a, *sorted(float(p) for p in set(break_points) if a < p < b), b]
+    intervals = len(edges) - 1
+    if intervals > MAX_ROUND_PANELS:
+        raise ValueError(f"{intervals} intervals, above the limit {MAX_ROUND_PANELS}")
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    neval, vals, errs = 0, [], []
+    while True:
+        ik, err = _panels(f, lo, hi)
+        neval += 15 * len(lo)
+        width = hi - lo
+        narrow = width <= _WIDTH_FLOOR * np.maximum(np.abs(lo), np.abs(hi))
+        accept = narrow | (err <= tol * (width / (b - a) + _SHARE_FLOOR))
+        exhausted = neval >= budget * intervals or 2 * np.count_nonzero(~accept) > MAX_ROUND_PANELS
+        if exhausted:
+            accept[:] = True
+        vals.append(ik[accept])
+        errs.append(err[accept])
+        if accept.all():
+            break
+        lo, hi = lo[~accept], hi[~accept]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    result = QuadResult(math.fsum(np.concatenate(vals).tolist()), math.fsum(np.concatenate(errs).tolist()), neval)
+    if exhausted:
+        raise BudgetExceeded(result)
+    return result
 
 
 def integrate_semiinfinite(

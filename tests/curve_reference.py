@@ -1,7 +1,7 @@
 """The segment quadrature that ``curves.limit_height``'s Clausen sum replaced, kept as a numerical reference.
 
 Each segment w -> 2*pi*(w*p + n1/e, w*q + n2/e) of a torsion curve is
-integrated by ``quad.integrate_batch`` over [0, 1], with break points at
+integrated by ``quad.integrate`` over [0, 1], with break points at
 every lattice hit of the six multipliers p, q, p - q (the zeros of the
 three chords) and p + q, 2p - q, 2q - p (the kinks where the largest chord
 changes: |sin pi x| = |sin pi y| exactly when x = +-y mod 1).  It shares
@@ -35,13 +35,16 @@ def _segment_breaks(p: int, q: int, n1: int, n2: int, e: int) -> list[float]:
 def limit_height(curve: TorsionCurve, tol: float = 1e-13) -> float:
     (p, q), _ = _basis(curve)
     e = curve.e
-    offsets = segment_offsets(curve)
-    o1, o2 = (np.array([n / e for n in col])[:, None] for col in zip(*offsets))
     tau = 2.0 * math.pi
 
-    def integrand(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-        u1, u2 = tau * (w * p + o1[rows]), tau * (w * q + o2[rows])
-        return np.log(np.maximum(np.maximum(constants.chord(u2 - u1), constants.chord(u2)), constants.chord(u1)))
+    def segment(n1: int, n2: int) -> float:
+        o1, o2 = n1 / e, n2 / e
 
-    parts = [[0.0, *_segment_breaks(p, q, n1, n2, e), 1.0] for n1, n2 in offsets]
-    return math.fsum(res.value for res in quad.integrate_batch(integrand, parts, tol)) / len(parts)
+        def integrand(w: np.ndarray) -> np.ndarray:
+            u1, u2 = tau * (w * p + o1), tau * (w * q + o2)
+            return np.log(np.maximum(np.maximum(constants.chord(u2 - u1), constants.chord(u2)), constants.chord(u1)))
+
+        return quad.integrate(integrand, 0.0, 1.0, tol, break_points=_segment_breaks(p, q, n1, n2, e)).value
+
+    offsets = segment_offsets(curve)
+    return math.fsum(segment(n1, n2) for n1, n2 in offsets) / len(offsets)

@@ -1,10 +1,9 @@
-"""The depth-first panel stack that ``quad.integrate_batch`` replaced, kept as a reference.
+"""The depth-first panel stack that ``quad.integrate``'s level-synchronous rounds replaced, kept as a reference.
 
 ``integrate`` walks one integral's panels leftmost-first, one 15-node
-panel per iteration; ``integrate_batch`` runs it problem by problem with
-the budget counted once per interval of each partition.  Away from
-budget exhaustion the batch engine must reproduce its value, error
-estimate and evaluation count bit for bit.
+panel per iteration, and counts its budget over the whole integral rather
+than per interval.  Away from budget exhaustion ``quad.integrate`` must
+reproduce its value, error estimate and evaluation count bit for bit.
 """
 
 from __future__ import annotations
@@ -68,14 +67,3 @@ def integrate(f, a, b, tol, *, break_points=(), budget=DEFAULT_BUDGET):
         raise BudgetExceeded(result)
     return result
 
-
-def integrate_batch(f, partitions, tol, *, budget=DEFAULT_BUDGET):
-    """``quad.integrate_batch`` problem by problem on the depth-first stack."""
-    out = []
-    for i, part in enumerate(partitions):
-        row = np.array([i])
-        a, b = part[0], part[-1]
-        intervals = len({p for p in part[1:-1] if a < p < b}) + 1
-        out.append(integrate(lambda x: f(row, x[None, :])[0], a, b, tol, break_points=part[1:-1],
-                             budget=budget * intervals))
-    return out

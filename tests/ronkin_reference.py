@@ -5,8 +5,8 @@ the double average over the torus to a single integral,
 
     rho(u) = -integral(0,1) log max(|1 + e^{-u1} e^{2 pi i s}|, e^{-u2}) ds,
 
-which ``quad.integrate_batch`` evaluates for all points in one batch, with
-the kinks where the modulus crosses the floor declared as break points.
+which ``quad.integrate`` evaluates once per point, with the kinks where
+the modulus crosses the floor declared as break points.
 It shares no code with the closed form: no angles, no Clausen function.
 """
 
@@ -38,23 +38,25 @@ def _switch_breaks(rr: float, floor_log: float) -> tuple[float, ...]:
 
 
 def ronkin_batch(points: list[AmoebaPoint], tol: float = 1e-9) -> list[float]:
-    """The Ronkin function at each point, by one adaptive quadrature batch.
+    """The Ronkin function at each point, by one adaptive quadrature per point.
 
     The larger of the moduli 1 and e^{-u1} is factored out first, so the
     evaluation never overflows on the supported coordinate range.
     """
     if any(max(abs(u.u1), abs(u.u2)) > COORD_LIMIT for u in points):
         raise ValueError(f"coordinates exceed the supported range +-{COORD_LIMIT}")
+    return [_ronkin(u, tol) for u in points]
+
+
+def _ronkin(u: AmoebaPoint, tol: float) -> float:
     # |1 + r z| = max(1, r) * |1 + rr z'| with rr = min(r, 1/r) <= 1
-    scale = [max(0.0, -u.u1) for u in points]
-    rr = [math.exp(-abs(u.u1)) for u in points]
-    floor_log = [-u.u2 - sc for u, sc in zip(points, scale)]
-    rr_col, floor_col = np.array(rr)[:, None], np.array(floor_log)[:, None]
-    sq_dist, four_rr = (1.0 - rr_col) * (1.0 - rr_col), 4.0 * rr_col
+    scale = max(0.0, -u.u1)
+    rr = math.exp(-abs(u.u1))
+    floor_log = -u.u2 - scale
+    sq_dist, four_rr = (1.0 - rr) * (1.0 - rr), 4.0 * rr
 
-    def integrand(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
-        m2 = sq_dist[rows] + four_rr[rows] * np.cos(math.pi * s) ** 2
-        return np.maximum(0.5 * np.log(m2), floor_col[rows])
+    def integrand(s: np.ndarray) -> np.ndarray:
+        m2 = sq_dist + four_rr * np.cos(math.pi * s) ** 2
+        return np.maximum(0.5 * np.log(m2), floor_log)
 
-    parts = [[0.0, *_switch_breaks(r, fl), 1.0] for r, fl in zip(rr, floor_log)]
-    return [-(sc + res.value) for sc, res in zip(scale, quad.integrate_batch(integrand, parts, tol))]
+    return -(scale + quad.integrate(integrand, 0.0, 1.0, tol, break_points=_switch_breaks(rr, floor_log)).value)

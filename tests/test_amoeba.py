@@ -262,7 +262,7 @@ class TestBatchedQueries:
     ], ids=["dual-0.2,0.3", "dual-0.6,0.1", "monge-0,0", "monge-0.3,-0.2"])
     def test_same_bits_as_depth_first_engine(self, monkeypatch, query, bits):
         assert query().hex() == bits
-        monkeypatch.setattr(quad, "integrate_batch", quad_reference.integrate_batch)
+        monkeypatch.setattr(quad, "integrate", quad_reference.integrate)
         assert query().hex() == bits
 
     def test_batch_equals_points_one_by_one(self):

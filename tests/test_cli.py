@@ -11,7 +11,7 @@ import pytest
 import ronkin_reference
 from helpers import height
 
-from zeta_heights import amoeba, cli, curves, grid, quad, torsion
+from zeta_heights import amoeba, cli, curves, grid, torsion
 
 
 def run(capsys, *argv):
@@ -314,12 +314,16 @@ class TestLimits:
 
     def test_moduli_checked_before_quadrature(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("quadrature ran")
+            raise AssertionError("limit computed")
 
-        monkeypatch.setattr(quad, "integrate_batch", refuse)
-        for d_list in ("100000000000", "5,100000000000", "6,9"):
-            assert run(capsys, "limits", "--a", "1,4999", "--e", "3", "--d-list", d_list) == (2, "")
-        assert run(capsys, "limits", "--a", "1,4999", "--d-list", "100000000000") == (2, "")
+        with monkeypatch.context() as patch:
+            patch.setattr(curves, "limit_height", refuse)
+            for d_list in ("100000000000", "5,100000000000"):
+                assert run(capsys, "limits", "--a", "1,4999", "--e", "3", "--d-list", d_list) == (2, "")
+            assert run(capsys, "limits", "--a", "1,4999", "--d-list", "100000000000") == (2, "")
+        # the moduli pass, and the limit refuses the curve before any segment
+        assert cli.main(["limits", "--a", "1,4999", "--e", "3", "--d-list", "6,9"]) == 2
+        assert f"break points, above the limit {curves.MAX_CURVE_BREAKS}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
         # 664,579 primes, 1.6e12 half-orbit summands
