@@ -28,8 +28,9 @@ The Legendre dual of rho is closed-form in Л as well.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,6 +43,7 @@ MAX_MOMENT = 170
 COORD_LIMIT = 700.0  # exp(|u|) must stay inside double range
 
 _TAU = 2.0 * math.pi
+_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -93,23 +95,39 @@ def region(u: AmoebaPoint, boundary_tol: float = 1e-12) -> RegionTag:
 
 
 def south_moment(m: int, tol: float = 1e-10) -> quad.QuadResult:
-    """integral of u2^m over the south region {u in amoeba : min(0,u1) >= u2}.
+    """integral of u2^m over the south region {u in amoeba : min(0,u1) >= u2}, to tol * m!.
 
-    Integrating out u1 leaves integral(-inf, 0) -u2^m log(1 - e^{u2}) du2;
-    the closed form is (-1)^m m! zeta(m+2), which overflows a double for
-    m > MAX_MOMENT; such orders are refused before any evaluation.
+    Over x = -u2 > 0 it integrates (-1)^m x^m L(x), L(x) = -log(1 - e^{-x}), to (-1)^m m! zeta(m+2),
+    between m! and 1.65 m! in size: hence the target tol * m!, and orders above MAX_MOMENT, which
+    overflow a double, are refused up front.  On s = log x the integrand (-1)^m exp((m+1) s + log L(e^s))
+    is smooth and never overflows; L takes expm1 up to x = log 2 and log1p above (Maechler 2012).
+    The ends eps < m + 1 < X, the first of (m + 1) 2^-k and (m + 1) 2^k that do, cut tails of at most
+    min(tol, 2^-53) m!/4 each: L(x) <= -log x + x/2 bounds the one below eps by
+    eps^(m+1) ((1 - (m+1) log eps)/(m+1)^2 + eps/(2(m+2))), and L(x) <= e^{-x}/(1 - e^{-x}) the one
+    above X by Gamma(m+1, X)/(1 - e^{-X}), where Gamma(m+1, X) <= X^(m+1) e^{-X}/(X - m).  The
+    quadrature gets the rest of tol * m!; the error estimate includes the tails.
     """
     if m < 0:
         raise ValueError(f"moment order must be >= 0, got {m}")
     if m > MAX_MOMENT:
         raise ValueError(f"moment order must be <= {MAX_MOMENT} (m! zeta(m+2) overflows a double above), "
                          f"got {m}")
+    if not 0.0 < tol < 1.0:  # NaN fails too; |moment| >= m!, so tol * m! >= m! would accept 0
+        raise ValueError(f"tolerance must lie in (0, 1), a fraction of m!, got {tol}")
+    n, sign, peak = m + 1, (-1.0) ** m, math.log(m + 1)  # x^(m+1) e^{-x} peaks at x = m + 1
+    log_cut = math.log(min(tol, 2.0**-53)) - math.log(4.0) + math.lgamma(n)  # the cut itself may underflow
+    lo = next(s for s in itertools.count(peak - _LOG2, -_LOG2)
+              if n * s + math.log((1.0 - n * s) / n**2 + math.exp(s) / (2 * n + 2)) <= log_cut)
+    hi = next(s for s in itertools.count(peak + _LOG2, _LOG2)
+              if n * s - math.exp(s) - math.log((math.exp(s) - m) * -math.expm1(-math.exp(s))) <= log_cut)
 
-    def integrand(u: np.ndarray) -> np.ndarray:
-        # log1p/expm1 keep the u -> 0 tail finite until the last ulp
-        return -(u**m) * np.log(-np.expm1(u))
+    def integrand(s: np.ndarray) -> np.ndarray:
+        x = np.exp(s)
+        return sign * np.exp(n * s + np.log(-np.where(x <= _LOG2, np.log(-np.expm1(-x)), np.log1p(-np.exp(-x)))))
 
-    return quad.integrate_semiinfinite(integrand, tol)
+    tails = 2.0 * math.exp(log_cut)
+    res = quad.integrate(integrand, lo, hi, tol * math.factorial(m) - tails)
+    return replace(res, err_estimate=res.err_estimate + tails)
 
 
 def volume(tol: float = 1e-10) -> float:
@@ -127,8 +145,7 @@ def psi_average(tol: float = 1e-10) -> float:
     Psi vanishes on the east region and contributes the same integral on
     the west and south ones, so the integral is 2 * south_moment(1).
     """
-    psi_integral = 2.0 * south_moment(1, tol).value
-    return -psi_integral / volume(tol)
+    return -2.0 * south_moment(1, tol).value / volume(tol)
 
 
 def ronkin_batch(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:

@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ronkin", help="u1,u2")
     p.add_argument("--dual", help="x1,x2 in the standard simplex")
     p.add_argument("--ronkin-samples", help="LO:HI:N,LO:HI:N lattice, CSV output")
-    p.add_argument("--tol", type=float, help="default 1e-10; --ronkin, --ronkin-samples and --dual ignore it")
+    p.add_argument("--tol", type=float, help="default 1e-10, below 1; times M! for --moment M; closed forms ignore it")
     p.add_argument("--out")
 
     return parser

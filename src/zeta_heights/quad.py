@@ -123,8 +123,8 @@ def integrate(
         f: elementwise integrand; it gets an (n, 15) array of nodes.  It must
            be finite inside each interval between break points and may
            diverge logarithmically at their ends.
-        a, b: finite limits, a < b; for a half-line use integrate_semiinfinite.
-        tol: absolute tolerance target.
+        a, b: finite limits, a < b.
+        tol: absolute tolerance target, finite and positive.
         break_points: abscissae where f is singular or kinked; those strictly
            inside (a, b) split it into intervals, and no panel evaluates them.
         budget: integrand evaluations per interval.
@@ -136,11 +136,11 @@ def integrate(
         ValueError: bad limits or tolerance, or more than MAX_ROUND_PANELS
            intervals.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:  # NaN fails too
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     a, b = float(a), float(b)
     if not math.isfinite(b - a):
-        raise ValueError(f"need finite limits, got [{a}, {b}]; integrate_semiinfinite takes half-lines")
+        raise ValueError(f"need finite limits, got [{a}, {b}]")
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     edges = [a, *sorted(float(p) for p in set(break_points) if a < p < b), b]
@@ -169,21 +169,3 @@ def integrate(
     if exhausted:
         raise BudgetExceeded(result)
     return result
-
-
-def integrate_semiinfinite(
-    f: Callable,
-    tol: float,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> QuadResult:
-    """Integrate f over (-inf, 0] to absolute tolerance tol.
-
-    Substitutes u = log t, mapping the half-line onto (0, 1]; f must decay
-    at least exponentially for the transformed integrand to stay integrable.
-    """
-
-    def transformed(t: np.ndarray) -> np.ndarray:
-        return f(np.log(t)) / t
-
-    return integrate(transformed, 0.0, 1.0, tol, budget=budget)

@@ -377,10 +377,10 @@ class TestAmoeba:
 
     # printed by the depth-first engine
     MOMENT_LINES = (
-        '{"m": 0, "value": 1.6449340668482235, "err_estimate": 3.1229535629718364e-14, "evaluations": 1425}',
-        '{"m": 1, "value": -1.202056903159593, "err_estimate": 1.3778053319036043e-14, "evaluations": 5145}',
-        '{"m": 2, "value": 2.164646467422219, "err_estimate": 5.606834160466166e-13, "evaluations": 16185}',
-        '{"m": 3, "value": -6.221566530857951, "err_estimate": 3.4746914693083395e-12, "evaluations": 54885}',
+        '{"m": 0, "value": 1.6449340668482262, "err_estimate": 6.610811807109398e-13, "evaluations": 345}',
+        '{"m": 1, "value": -1.2020569031595942, "err_estimate": 4.971061567066056e-12, "evaluations": 285}',
+        '{"m": 2, "value": 2.1646464674222763, "err_estimate": 1.5463031488776952e-11, "evaluations": 345}',
+        '{"m": 3, "value": -6.22156653086022, "err_estimate": 2.1154034335609898e-11, "evaluations": 315}',
     )
 
     @pytest.mark.parametrize("m", range(4))
@@ -390,8 +390,8 @@ class TestAmoeba:
     def test_moment_honours_tol(self, capsys):
         _, default = run(capsys, "amoeba", "--moment", "1")
         _, loose = run(capsys, "amoeba", "--moment", "1", "--tol", "1e-6")
-        assert json.loads(default)["evaluations"] == 5145
-        assert json.loads(loose)["evaluations"] == 1515
+        assert json.loads(default)["evaluations"] == 285
+        assert json.loads(loose)["evaluations"] == 165
 
     @pytest.mark.parametrize("query", [["--ronkin", "0.3,-0.2"], ["--ronkin-samples=-1:1:101,-1:1:3"],
                                        ["--dual", "0.2,0.3"]])
@@ -404,6 +404,16 @@ class TestAmoeba:
         _, default = run(capsys, "amoeba", "--volume")
         _, loose = run(capsys, "amoeba", "--volume", "--tol", "1e-3")
         assert json.loads(default)["volume"] != json.loads(loose)["volume"]
+
+    @pytest.mark.parametrize("argv", [["--volume", "--tol", "inf"], ["--moment", "1", "--tol", "inf"],
+                                      ["--moment", "1", "--tol", "1e308"], ["--moment", "170", "--tol", "1"],
+                                      ["--psi-average", "--tol", "nan"], ["--moment", "0", "--tol=0"],
+                                      ["--volume", "--tol=-1e-10"]])
+    def test_tolerance_outside_0_1_exits_2(self, capsys, argv):
+        # an infinite or huge tolerance printed a one-panel guess
+        assert cli.main(["amoeba", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: tolerance must lie in (0, 1)")
 
     @pytest.mark.parametrize("m", ["171", "400"])
     def test_overflowing_moment_exits_2(self, capsys, m):

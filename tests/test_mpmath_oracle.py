@@ -1,4 +1,4 @@
-"""The special values, the Clausen function, the Legendre dual, heights and curve limits against mpmath.
+"""The special values, the Clausen function, the Legendre dual, south moments, heights and curve limits against mpmath.
 
 The oracle uses mpmath's zeta and Clausen functions at 40 digits, sums each
 height over the full Galois orbit at the level d of the pair, with complex
@@ -8,7 +8,9 @@ benchmark's oracles.
 """
 
 import functools
+import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +19,7 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
-from zeta_heights import amoeba, constants, curves, grid  # noqa: E402
+from zeta_heights import amoeba, cli, constants, curves, grid  # noqa: E402
 from zeta_heights.torsion import TorsionPoint, total_height  # noqa: E402
 
 DIGITS = 40
@@ -111,6 +113,33 @@ class TestLegendreDual:
         edges = [x for x in self.grid() if min(x[0], x[1], 1.0 - x[0] - x[1]) == 0.0]
         assert len(edges) == 3 * self.N
         assert max(abs(amoeba.legendre_dual(x)) for x in edges) <= 1e-15
+
+
+def south_moment(m):
+    """(-1)^m m! zeta(m+2) at 40 digits."""
+    with mp.workdps(DIGITS):
+        return (-1) ** m * mp.factorial(m) * mp.zeta(m + 2)
+
+
+class TestSouthMoments:
+    def test_every_order(self):
+        # before the s = log(-u2) map, every m >= 6 ran out of the evaluation budget
+        for m in range(amoeba.MAX_MOMENT + 1):
+            expect = south_moment(m)
+            assert abs(amoeba.south_moment(m).value - expect) <= 1e-12 * abs(expect), m
+
+    def test_moments_volume_and_psi_average_within_2_ulp(self):
+        with mp.workdps(DIGITS):
+            cases = [(amoeba.south_moment(m).value, south_moment(m)) for m in range(4)]
+            cases += [(amoeba.volume(), 3 * mp.zeta(2)), (amoeba.psi_average(), 2 * mp.zeta(3) / (3 * mp.zeta(2)))]
+            for value, expect in cases:
+                assert abs(value - expect) <= 2 * math.ulp(value), (value, expect)
+
+    def test_moment_20_from_the_cli(self, capsys):
+        start = time.perf_counter()
+        assert cli.main(["amoeba", "--moment", "20"]) == 0
+        assert time.perf_counter() - start < 0.1
+        assert abs(json.loads(capsys.readouterr().out)["value"] - south_moment(20)) <= 1e-12 * south_moment(20)
 
 
 class TestHeights:

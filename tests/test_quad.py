@@ -72,30 +72,18 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             quad.integrate(lambda x: x, 0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+    def test_tolerance_finite_and_positive(self, tol):
+        # an infinite tolerance was accepted: one panel, whatever its error
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            quad.integrate(np.exp, 0.0, 1.0, tol)
+
     @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (math.nan, 1.0),
                                       (-1e308, 1e308)])
     def test_non_finite_limits_refused(self, a, b):
         # an infinite end gave nan, and an overflowing width b - a gave 0.0 with error estimate 0.0
-        with pytest.raises(ValueError, match="integrate_semiinfinite"):
+        with pytest.raises(ValueError, match="need finite limits"):
             quad.integrate(np.exp, a, b, 1e-10)
-
-
-class TestSemiInfinite:
-    def test_exponential(self):
-        res = quad.integrate_semiinfinite(lambda u: np.exp(u), 1e-12)
-        assert abs(res.value - 1.0) <= 1e-12
-
-    def test_dilogarithm_value(self):
-        res = quad.integrate_semiinfinite(lambda u: -np.log(-np.expm1(u)), 1e-10)
-        assert abs(res.value - pi**2 / 6) <= 1e-9
-
-    def test_weighted_value(self):
-        res = quad.integrate_semiinfinite(lambda u: -(u**2) * np.log(-np.expm1(u)), 1e-10)
-        assert abs(res.value - pi**4 / 45) <= 1e-9
-
-    def test_budget_propagates(self):
-        with pytest.raises(quad.BudgetExceeded):
-            quad.integrate_semiinfinite(lambda u: -np.log(-np.expm1(u)), 1e-12, budget=45)
 
 
 # Integrands of one problem each, elementwise in x with scalar parameters c1, c2.
