@@ -106,6 +106,11 @@ def south_moment(m: int, tol: float = 1e-10) -> quad.QuadResult:
     eps^(m+1) ((1 - (m+1) log eps)/(m+1)^2 + eps/(2(m+2))), and L(x) <= e^{-x}/(1 - e^{-x}) the one
     above X by Gamma(m+1, X)/(1 - e^{-X}), where Gamma(m+1, X) <= X^(m+1) e^{-X}/(X - m).  The
     quadrature gets the rest of tol * m!; the error estimate includes the tails.
+
+    Rounding sets a floor under tol: near the peak s = log(m + 1) the exponent (m + 1) s rounds by up to
+    (m + 1) log(m + 1) 2^-53, a relative error of the integrand, and the result itself rounds by 2^-53.  A tol
+    below 2^-52 (1 + (m + 1) log(m + 1)), 2.2e-16 at m = 0 and 2.0e-13 at m = 170, is refused before any
+    evaluation: the quadrature would spend its whole budget chasing rounding noise.
     """
     if m < 0:
         raise ValueError(f"moment order must be >= 0, got {m}")
@@ -114,6 +119,9 @@ def south_moment(m: int, tol: float = 1e-10) -> quad.QuadResult:
                          f"got {m}")
     if not 0.0 < tol < 1.0:  # NaN fails too; |moment| >= m!, so tol * m! >= m! would accept 0
         raise ValueError(f"tolerance must lie in (0, 1), a fraction of m!, got {tol}")
+    floor = 2.0**-52 * (1.0 + (m + 1) * math.log(m + 1))
+    if tol < floor:
+        raise ValueError(f"tolerance {tol} is below {floor:.2g}, what rounding allows at moment order {m}")
     n, sign, peak = m + 1, (-1.0) ** m, math.log(m + 1)  # x^(m+1) e^{-x} peaks at x = m + 1
     log_cut = math.log(min(tol, 2.0**-53)) - math.log(4.0) + math.lgamma(n)  # the cut itself may underflow
     lo = next(s for s in itertools.count(peak - _LOG2, -_LOG2)

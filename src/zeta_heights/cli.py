@@ -172,8 +172,11 @@ def cmd_curve(args: argparse.Namespace) -> str:
 
 def _sample_axes(spec: str) -> list[list[float]]:
     """The two axes of a LO:HI:N,LO:HI:N lattice; its size and range are checked before any evaluation."""
-    axes = [(float(lo), float(hi), int(n)) for lo, hi, n in (axis.split(":") for axis in spec.split(","))]
-    (_, _, n1), (_, _, n2) = axes
+    try:
+        axes = [(float(lo), float(hi), int(n)) for lo, hi, n in (axis.split(":") for axis in spec.split(","))]
+        (_, _, n1), (_, _, n2) = axes
+    except ValueError:  # a wrong number of axes or fields, or a field that is not a number
+        raise ValueError(f"amoeba: expected LO:HI:N,LO:HI:N, got {spec!r}") from None
     if min(n1, n2) < 1:
         raise ValueError(f"amoeba: sample counts must be >= 1, got {spec!r}")
     if n1 * n2 > MAX_RONKIN_SAMPLES:
@@ -221,71 +224,70 @@ def cmd_amoeba(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Built once per process.  Subcommands dispatch by name to the module-level
-# cmd_* at call time, so a handler rebound after the first call is still used.
+# Each subcommand's help line and arguments, (flag, add_argument keywords), in usage order.
+_CSV_JSON = {"default": "csv", "choices": ("csv", "json")}
+_THREADS = {"type": int, "help": "accepted and ignored: the program runs in one thread"}
+SUBCOMMANDS = {
+    "height": ("height of one torsion point", [
+        ("--d", {"type": int, "required": True}), ("--c", {"required": True, "help": "c1,c2"})]),
+    "grid": ("full d x d height grid", [
+        ("--d", {"type": int, "required": True}), ("--format", {"default": "csv", "choices": FORMATS}),
+        ("--out", {}), ("--threads", _THREADS), ("--epsilon", {"type": float, "default": 0.1})]),
+    "stats": ("distribution statistics over a range of d", [
+        ("--d-range", {"required": True, "help": "LO:HI or LO:HI:STEP"}),
+        ("--epsilon", {"type": float, "default": 0.1}), ("--format", _CSV_JSON), ("--out", {}),
+        ("--threads", _THREADS)]),
+    "constants": ("special values as JSON", []),
+    "limits": ("convergence of witness heights to the limit", [
+        ("--d-list", {"help": "comma-separated moduli, strictly increasing"}),
+        ("--primes", {"help": "LO:HI, take all primes in the range"}),
+        ("--a", {"help": "a1,a2 (restrict to a torsion curve)"}), ("--e", {"type": int}),
+        ("--tol", {"type": float, "help": "accepted and ignored: the curve limit is a finite Clausen sum"}),
+        ("--random-witness", {"action": "store_true"}), ("--seed", {"type": int, "default": 0}),
+        ("--format", _CSV_JSON), ("--out", {})]),
+    "curve": ("segment-average limit height of a torsion curve", [
+        ("--a", {"required": True, "help": "a1,a2 (primitive)"}), ("--e", {"type": int, "default": 1}),
+        ("--tol", {"type": float, "help": "accepted and ignored: the limit is a finite Clausen sum"})]),
+    "amoeba": ("amoeba membership, moments, Ronkin values", [
+        ("--contains", {"help": "u1,u2"}), ("--moment", {"type": int}),
+        ("--volume", {"action": "store_true", "default": None}),
+        ("--psi-average", {"action": "store_true", "default": None}),
+        ("--ronkin", {"help": "u1,u2"}), ("--dual", {"help": "x1,x2 in the standard simplex"}),
+        ("--ronkin-samples", {"help": "LO:HI:N,LO:HI:N lattice, CSV output"}),
+        ("--tol", {"type": float, "help": "default 1e-10, below 1; times M! for --moment M; closed forms ignore it"}),
+        ("--out", {})]),
+}
+
+
+# Built once per process and subcommand.  Subcommands dispatch by name to the
+# module-level cmd_* at call time, so a handler rebound after the first call
+# is still used.
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(name: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of ``name`` alone, or of every subcommand for None.
+
+    With one subparser the usage line still spells every subcommand out, so
+    each usage and error text is that of the full parser; only help and a
+    missing or bad subcommand, which main leaves to the full parser, show the rest.
+    """
     parser = argparse.ArgumentParser(
         prog="zeta-heights",
         description="Heights of torsion translates of x0+x1+x2=0 and their limit constants",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("height", help="height of one torsion point")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--c", required=True, help="c1,c2")
-    p.set_defaults(out=None)
-
-    p = sub.add_parser("grid", help="full d x d height grid")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--format", default="csv", choices=FORMATS)
-    p.add_argument("--out")
-    p.add_argument("--threads", type=int, help="accepted and ignored: the program runs in one thread")
-    p.add_argument("--epsilon", type=float, default=0.1)
-
-    p = sub.add_parser("stats", help="distribution statistics over a range of d")
-    p.add_argument("--d-range", required=True, help="LO:HI or LO:HI:STEP")
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--format", default="csv", choices=("csv", "json"))
-    p.add_argument("--out")
-    p.add_argument("--threads", type=int, help="accepted and ignored: the program runs in one thread")
-
-    p = sub.add_parser("constants", help="special values as JSON")
-    p.set_defaults(out=None)
-
-    p = sub.add_parser("limits", help="convergence of witness heights to the limit")
-    p.add_argument("--d-list", help="comma-separated moduli, strictly increasing")
-    p.add_argument("--primes", help="LO:HI, take all primes in the range")
-    p.add_argument("--a", help="a1,a2 (restrict to a torsion curve)")
-    p.add_argument("--e", type=int)
-    p.add_argument("--tol", type=float, help="accepted and ignored: the curve limit is a finite Clausen sum")
-    p.add_argument("--random-witness", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", default="csv", choices=("csv", "json"))
-    p.add_argument("--out")
-
-    p = sub.add_parser("curve", help="segment-average limit height of a torsion curve")
-    p.add_argument("--a", required=True, help="a1,a2 (primitive)")
-    p.add_argument("--e", type=int, default=1)
-    p.add_argument("--tol", type=float, help="accepted and ignored: the limit is a finite Clausen sum")
-    p.set_defaults(out=None)
-
-    p = sub.add_parser("amoeba", help="amoeba membership, moments, Ronkin values")
-    p.add_argument("--contains", help="u1,u2")
-    p.add_argument("--moment", type=int)
-    p.add_argument("--volume", action="store_true", default=None)
-    p.add_argument("--psi-average", action="store_true", default=None)
-    p.add_argument("--ronkin", help="u1,u2")
-    p.add_argument("--dual", help="x1,x2 in the standard simplex")
-    p.add_argument("--ronkin-samples", help="LO:HI:N,LO:HI:N lattice, CSV output")
-    p.add_argument("--tol", type=float, help="default 1e-10, below 1; times M! for --moment M; closed forms ignore it")
-    p.add_argument("--out")
-
+    parser.set_defaults(out=None)
+    spelt = None if name is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=spelt)
+    for command, (help_text, arguments) in SUBCOMMANDS.items():
+        if name in (None, command):
+            p = sub.add_parser(command, help=help_text)
+            for flag, keywords in arguments:
+                p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv  # build only the parser of the subcommand run
+    args = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None).parse_args(argv)
     try:
         text = globals()[f"cmd_{args.subcommand}"](args)
     except (ValueError, BudgetExceeded) as exc:

@@ -21,7 +21,7 @@ distances of a unit is the one of its largest folded residue: one sine and
 one log per unit.  The units of e are sieved by the primes of e, and the
 folding makes the units k and e - k give the same summand bit for bit, so
 only the units k <= e/2 are summed; with an exactly rounded sum (exact in
-int64 chunks, see ``_exact_sum``) this half-orbit mean is the full Galois
+int64 chunks, see ``_row_sums``) this half-orbit mean is the full Galois
 average to the last bit.  A single height sieves [0, e/2] only and
 streams the sieve in slices, keeping no array of the order.
 """
@@ -183,14 +183,17 @@ def _root_distances(residues: np.ndarray, e: int) -> np.ndarray:
 
 
 # Elements of one block of an orbit sum: units of one height, or pairs x
-# units of a table.  A height's summands split into int64 chunks below
-# 2**_CHUNK_BITS, so that a block of chunks sums below 2**63.  On a 2-core
-# Xeon, blocks of 2**16 took 4400 page faults and 1.5x the time of 2**14
-# (none) per height at e = 999983, and blocks of 2**18 took 15104 faults
-# (2**14: about 1000) and 1.4x the time for class_table(4096): glibc
-# malloc hands the freed temporaries back to the system at every block.
+# units of a table.  On a 2-core Xeon, blocks of 2**16 took 4400 page
+# faults and 1.5x the time of 2**14 (none) per height at e = 999983, and
+# blocks of 2**18 took 15104 faults (2**14: about 1000) and 1.4x the time
+# for class_table(4096): glibc malloc hands the freed temporaries back to
+# the system at every block.
 _BLOCK = 1 << 14
-_CHUNK_BITS = 64 - _BLOCK.bit_length()
+
+
+def _fold(r: np.ndarray, e: int, buf: np.ndarray) -> np.ndarray:
+    """r folded into [0, e/2] as min(r, e - r), in place; r must lie in [0, e]."""
+    return np.minimum(r, np.subtract(e, r, out=buf), out=r)
 
 
 def _folded_max(e: int, c1, c2, k: np.ndarray) -> np.ndarray:
@@ -200,35 +203,42 @@ def _folded_max(e: int, c1, c2, k: np.ndarray) -> np.ndarray:
     largest of the three distances.  (c2 - c1)*k folds as |c2*k - c1*k|.
     """
     r1, r2 = c1 * k, c2 * k
-    r1 -= r1 // e * e  # % e: numpy divides by a scalar several times faster than it takes %
-    r2 -= r2 // e * e
+    buf = np.empty_like(r1)
+    for r in (r1, r2):  # % e: numpy divides by a scalar several times faster than it takes %
+        r -= np.multiply(np.floor_divide(r, e, out=buf), e, out=buf)
     r3 = np.abs(r2 - r1)
-    return np.maximum(np.maximum(np.minimum(r1, e - r1), np.minimum(r2, e - r2)), np.minimum(r3, e - r3))
+    return np.maximum(np.maximum(_fold(r1, e, buf), _fold(r2, e, buf), out=r1), _fold(r3, e, buf), out=r1)
 
 
-def _exact_sum(arrays) -> float:
-    """Correctly rounded sum of the values of finite float64 arrays: math.fsum's result, bit for bit.
+def _row_sums(blocks) -> list[float]:
+    """Correctly rounded sum of each row of finite float64 2-D blocks with the same rows, which it overwrites.
 
-    Each block of at most _BLOCK values below 2**E splits exactly into
-    int64 chunks trunc(x / 2**s) for s = E - _CHUNK_BITS, E - 2*_CHUNK_BITS,
-    ... until no remainder is left (scaling by 2**-s and x - chunk*2**s are
-    exact), and each chunk sums in int64.  The chunk sums combine as Python
-    ints scaled to the least s, and int / 2**-s rounds once.  A zero sum is
-    +0.0, as math.fsum gives it.
+    Row i of the result is math.fsum over row i of every block, bit for bit.
+    A block of n columns whose values lie below 2**E splits exactly into
+    int64 chunks trunc(x / 2**s) below 2**b, b = 63 - bit_length(n - 1),
+    for s = E - b, E - 2*b, ... until no remainder is left (scaling by
+    2**-s and x - chunk*2**s are exact), so that a row of n chunks sums
+    below 2**63.  The row sums combine as Python ints scaled to the least
+    s, and int / 2**-s rounds once.  A zero sum is +0.0, as math.fsum
+    gives it.
     """
-    parts = []
-    for a in arrays:
-        for lo in range(0, len(a), _BLOCK):
-            rest = a[lo : lo + _BLOCK]
-            s = math.frexp(float(np.abs(rest).max()))[1]
-            while rest.any():
-                s -= _CHUNK_BITS
-                chunk = np.ldexp(rest, -s).astype(np.int64)
-                parts.append((int(chunk.sum()), s))
-                rest = rest - np.ldexp(chunk, s)
+    parts, rows = [], 0
+    for block in blocks:
+        rows, bits = block.shape[0], 63 - (block.shape[1] - 1).bit_length()
+        buf = np.empty_like(block)
+        left = np.abs(block, out=buf).max(initial=0.0)
+        s = math.frexp(left)[1]
+        while left:
+            s -= bits
+            chunk = np.ldexp(block, -s, out=buf).astype(np.int64)
+            parts.append((chunk.sum(axis=1).tolist(), s))
+            block -= np.ldexp(chunk, s, out=buf)
+            left = block.any()
     low = min((s for _, s in parts), default=0)
-    total = sum(c << (s - low) for c, s in parts)
-    return total / (1 << -low) if low < 0 else float(total << low)
+    totals = [0] * rows
+    for sums, s in parts:
+        totals = [t + (c << (s - low)) for t, c in zip(totals, sums)]
+    return [t / (1 << -low) if low < 0 else float(t << low) for t in totals]
 
 
 def _unit_ratio(e: int, c1: int, c2: int) -> int | None:
@@ -264,17 +274,21 @@ def archimedean_height(pt: TorsionPoint) -> float:
     step = _BLOCK * (len(half) // n)
     c = _unit_ratio(e, c1, c2)
 
-    def folded(lo: int) -> np.ndarray:
-        k = np.flatnonzero(half[lo : lo + step]) + lo
+    def logs(lo: int) -> np.ndarray:
+        k = np.flatnonzero(half[lo : lo + step])
+        k += lo
         if c is None:
-            return _folded_max(e, c1, c2, k)
-        r = c * k
-        r -= r // e * e
-        s = np.abs(r - k)
-        return np.maximum(np.maximum(k, np.minimum(r, e - r)), np.minimum(s, e - s))
+            m = _folded_max(e, c1, c2, k)
+        else:
+            m, buf = c * k, np.empty_like(k)
+            m -= np.multiply(np.floor_divide(m, e, out=buf), e, out=buf)
+            r = np.abs(m - k)
+            m = np.maximum(np.maximum(_fold(m, e, buf), k, out=m), _fold(r, e, buf), out=m)
+        x = m * np.pi  # 2*sin(pi*m/e) and its log in one array, as _root_distances takes them
+        x /= e
+        return np.log(np.multiply(np.sin(x, out=x), 2.0, out=x), out=x)[None]
 
-    blocks = (np.log(_root_distances(folded(lo), e)) for lo in range(0, len(half), step))
-    return _exact_sum(blocks) / n
+    return _row_sums(map(logs, range(0, len(half), step)))[0] / n
 
 
 @_per_order
@@ -299,7 +313,7 @@ def total_heights(e: int, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     orbit sum over the units k <= e/2 gathers the log distance of the
     largest folded residue (``_folded_max``) from a table over [0, e/2],
     the summands of ``archimedean_height``, and sums each row with
-    math.fsum, which rounds the same as ``_exact_sum``.
+    ``_row_sums``.
     """
     if e < 2:
         raise ValueError(f"nontrivial points need order e >= 2, got {e}")
@@ -309,12 +323,15 @@ def total_heights(e: int, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     k = np.flatnonzero(_coprime(e, e // 2))
     table = _log_distances(e)
     nonarch = nonarchimedean_height(TorsionPoint(e, 1, 0))
-    totals = []
     step = max(1, _BLOCK // len(k))
+    sums = []
     for lo in range(0, len(a), step):
-        logs = table[_folded_max(e, a[lo : lo + step, None], b[lo : lo + step, None], k)]
-        totals += [math.fsum(memoryview(row)) / len(k) + nonarch for row in logs]
-    return np.array(totals)
+        sums += _row_sums([table[_folded_max(e, a[lo : lo + step, None], b[lo : lo + step, None], k)]])
+    return np.array(sums) / len(k) + nonarch
+
+
+# A dtype, not field names: fromarrays parses names at 3x the cost of a small table.
+_CLASS_ROW = np.dtype([("first", np.int64), ("second", np.int64), ("height", float)])
 
 
 @_per_order
@@ -341,7 +358,7 @@ def class_table(e: int) -> np.recarray:
     least = class_index(e, images[:, 0], images[:, 1]).min(axis=0)
     summed = np.flatnonzero(least == np.arange(len(first)))
     heights = total_heights(e, first[summed], second[summed])[np.searchsorted(summed, least)]
-    return np.rec.fromarrays([first, second, heights], names=["first", "second", "height"])
+    return np.rec.fromarrays([first, second, heights], dtype=_CLASS_ROW)
 
 
 def class_index(e: int, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import dual_reference
 import numpy as np
 import pytest
 import quad_reference
+import ronkin_reference
 
 from zeta_heights import amoeba, constants, quad
 from zeta_heights.amoeba import AmoebaPoint, RegionTag
@@ -95,6 +96,24 @@ class TestSouthMoments:
         monkeypatch.setattr(amoeba.quad, "integrate", no_quadrature)
         with pytest.raises(ValueError, match="overflows"):
             amoeba.south_moment(m)
+
+    @pytest.mark.parametrize("m, tol", [(0, 1e-300), (0, 2e-16), (170, 1e-16), (170, 1.9e-13)])
+    def test_unattainable_tolerance_refused_up_front(self, monkeypatch, m, tol):
+        # south_moment(170, 1e-16) spent 1,124,145 evaluations before BudgetExceeded
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(amoeba.quad, "integrate", no_quadrature)
+        with pytest.raises(ValueError, match="what rounding allows"):
+            amoeba.south_moment(m, tol)
+
+    def test_every_order_attains_its_floor(self):
+        # the floor 2^-52 (1 + (m+1) log(m+1)) the docstring states; at most 705 evaluations on this map
+        for m in range(amoeba.MAX_MOMENT + 1):
+            floor = 2.0**-52 * (1.0 + (m + 1) * math.log(m + 1))
+            assert amoeba.south_moment(m, floor).evaluations <= 1500, m
+            with pytest.raises(ValueError, match="what rounding allows"):
+                amoeba.south_moment(m, 0.99 * floor)
 
 
 class TestVolume:
@@ -204,6 +223,13 @@ class TestLegendreDual:
                     for i in range(1, 19) for j in range(1, 20 - i))
         assert worst <= 2e-8
 
+    def test_reference_probes_match_ronkin_reference(self):
+        # the vectorised probes are those of one quad.integrate call per point, bit for bit
+        rng = np.random.default_rng(23)
+        probes = [(0.0, 0.0), (1.0, -0.3), (-2.0, 0.5), (25.0, -25.0), *rng.uniform(-25.0, 25.0, (12, 2)).tolist()]
+        want = ronkin_reference.ronkin_batch([AmoebaPoint(a, b) for a, b in probes], 1e-9)
+        assert [v.hex() for v in dual_reference.ronkin_batch(probes, 1e-9)] == [v.hex() for v in want]
+
     def test_nonnegative_on_simplex(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
@@ -252,7 +278,9 @@ class TestMongeAmpere:
 
 class TestBatchedQueries:
     # the dual probes: values of the depth-first engine, one ronkin_reference
-    # call per probe; the Monge-Ampere probes: the closed-form Ronkin stencil,
+    # call per probe, which the vectorised dual reference reproduces without
+    # calling either engine (test_reference_probes_match_ronkin_reference);
+    # the Monge-Ampere probes: the closed-form Ronkin stencil,
     # which swapping the quadrature engine must leave bit for bit; the south
     # moments, the volume and the psi average: one integral per moment on the
     # s = log(-u2) map, the same bits from either engine

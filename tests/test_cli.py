@@ -176,10 +176,34 @@ class TestStats:
 
 class TestParserCache:
     def test_parser_built_once(self, capsys):
+        # once per subcommand: each run builds the subparser of its own subcommand only
         cli.build_parser.cache_clear()
         run(capsys, "height", "--d", "5", "--c", "1,2")
+        run(capsys, "height", "--d", "7", "--c", "1,2")
         run(capsys, "constants")
-        assert cli.build_parser.cache_info().misses == 1
+        assert cli.build_parser.cache_info()[:2] == (1, 2)  # hits, misses
+
+    @pytest.mark.parametrize("argv", [
+        ["height", "--d", "5", "--c", "1,2"], ["grid", "--d", "4", "--format", "pgm"], ["stats", "--d-range", "5:6"],
+        ["constants"], ["limits", "--d-list", "5,7"], ["curve", "--a", "3,5"], ["amoeba", "--ronkin", "0.3,-0.2"],
+        ["-h"], ["height", "-h"], [], ["bogus"], ["--", "height"], ["height", "--d", "5", "--c", "1,2", "--bogus"],
+        ["height", "--d", "5", "--c", "1,2", "extra"], ["grid", "--d", "4", "--format", "xml"], ["stats"],
+    ])
+    def test_same_output_as_full_parser(self, capsys, monkeypatch, argv):
+        def outcome():
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        original = cli.build_parser.__wrapped__  # uncached: every run builds afresh
+        asked = []
+        monkeypatch.setattr(cli, "build_parser", lambda name=None: asked.append(name) or original(name))
+        per_subcommand = outcome()
+        monkeypatch.setattr(cli, "build_parser", lambda name=None: original(None))
+        assert outcome() == per_subcommand
+        assert asked == [argv[0] if argv and argv[0] in cli.SUBCOMMANDS else None]
 
     def test_dispatch_sees_rebound_handler(self, capsys, monkeypatch):
         run(capsys, "height", "--d", "5", "--c", "1,2")
@@ -415,6 +439,18 @@ class TestAmoeba:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: tolerance must lie in (0, 1)")
 
+    @pytest.mark.parametrize("argv", [["--moment", "0", "--tol", "1e-300"], ["--moment", "170", "--tol", "1e-16"],
+                                      ["--volume", "--tol", "1e-300"], ["--psi-average", "--tol", "3e-16"]])
+    def test_unattainable_tolerance_exits_2(self, capsys, monkeypatch, argv):
+        # it spent the whole evaluation budget first
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(amoeba.quad, "integrate", no_quadrature)
+        assert cli.main(["amoeba", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "what rounding allows at moment order" in err
+
     @pytest.mark.parametrize("m", ["171", "400"])
     def test_overflowing_moment_exits_2(self, capsys, m):
         with warnings.catch_warnings():
@@ -538,6 +574,13 @@ class TestAmoeba:
         assert cli.main(["amoeba", f"--ronkin-samples={spec}"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("spec", ["0:1:2", "0:1:2,0:1:2,0:1:2", "0:1,0:1:2", "0:1:2,0:1", "0:1:2:3,0:1:2", "",
+                                      "0:1:2,", ",", "0:1:2;0:1:2", "a:1:2,0:1:2", "0:1:2.5,0:1:2"])
+    def test_malformed_samples_exit_2(self, capsys, spec):
+        # a wrong shape printed Python's unpacking message
+        assert cli.main(["amoeba", f"--ronkin-samples={spec}"]) == 2
+        assert capsys.readouterr() == ("", f"error: amoeba: expected LO:HI:N,LO:HI:N, got {spec!r}\n")
 
     def test_single_sample_axis(self, capsys):
         code, out = run(capsys, "amoeba", "--ronkin-samples=-2:2:1,0:1:1")

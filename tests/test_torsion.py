@@ -312,22 +312,29 @@ def exactly_rounded(values: list[float]) -> float:
 
 
 class TestExactSum:
+    """``_row_sums`` against math.fsum row by row, on 2-D blocks and on column slices of them streamed as blocks."""
+
     B = torsion._BLOCK
 
-    def check(self, values: list[float]) -> None:
+    def check(self, rows, split: int | None = None) -> None:
+        block = np.array(rows, dtype=float).reshape(len(rows), -1)
+        blocks = [block.copy()] if split is None else [block[:, :split].copy(), block[:, split:].copy()]
         try:
-            want = exactly_rounded(values)
+            want = [exactly_rounded(row) for row in block.tolist()]
         except OverflowError:
             with pytest.raises(OverflowError):
-                torsion._exact_sum([np.array(values)])
+                torsion._row_sums(blocks)
             return
-        got = torsion._exact_sum([np.array(values)])
-        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        got = torsion._row_sums(blocks)
+        assert [v.hex() for v in got] == [v.hex() for v in want]  # hex tells -0.0 from 0.0
 
     @settings(max_examples=400, deadline=None)
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
-    def test_matches_fsum_on_any_floats(self, values):
-        self.check(values)
+    @given(st.integers(1, 40).flatmap(lambda n: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n), min_size=1, max_size=4)),
+        st.integers(0, 40))
+    def test_matches_fsum_on_any_floats(self, rows, split):
+        self.check(rows)
+        self.check(rows, min(split, len(rows[0])))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from([1, B - 1, B, B + 1, 2**16 - 1, 2**16, 2**16 + 1]),
@@ -341,25 +348,29 @@ class TestExactSum:
             x[rng.integers(0, n, n // 3 + 1)] = rng.choice([0.0, -0.0])
         if cancel:
             x[n // 2 :] = -x[: n - n // 2]
-        self.check(x.tolist())
+        rows = [x, -x]
+        self.check(rows)
+        self.check(rows, min(self.B, n))
 
     @pytest.mark.parametrize("values", [[0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0], [-5e-324, 5e-324],
                                         [5e-324] * 3, [2.0**-1022, -(2.0**-1074)], [1e308, 1e308],
                                         [1.7976931348623157e308, 1e292, -1e292], [1e300, 1e-300, -1e300]])
     def test_edge_cases(self, values):
-        self.check(values)
+        self.check([values])
+        self.check([values, [-v for v in values], values[::-1]], 1)
 
     def test_sum_past_an_intermediate_overflow(self):
         big = 1.7976931348623157e308
         with pytest.raises(OverflowError):
             fsum([big, big, -big])
-        assert torsion._exact_sum([np.array([big, big, -big])]) == big
+        assert torsion._row_sums([np.array([[big, big, -big], [-big, -big, big]])]) == [big, -big]
 
     def test_blocks_of_several_arrays(self):
         values = [0.1] * 10 + [1e16, -1e16] + [0.3] * (self.B + 5)
-        arrays = [np.array(values[:7]), np.array([]), np.array(values[7:])]
-        assert torsion._exact_sum(arrays) == fsum(values)
-        assert torsion._exact_sum([]) == 0.0
+        blocks = [np.array([values[:7]]), np.empty((1, 0)), np.array([values[7:]])]
+        assert torsion._row_sums(blocks) == [fsum(values)]
+        assert torsion._row_sums([np.empty((2, 0))]) == [0.0, 0.0]
+        assert torsion._row_sums([]) == []
 
 
 class TestNonArchimedeanHeight:
