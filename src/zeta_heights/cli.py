@@ -32,17 +32,24 @@ MAX_RONKIN_SAMPLES = 10**5
 RONKIN_BATCH = 4096
 
 
-def _parse_pair(text: str, kind: type = int) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected two comma-separated numbers, got {text!r}")
-    return kind(parts[0]), kind(parts[1])
+def _numbers(text: str, option: str, shape: str, sep: str = ",", kind: type = int, counts=None) -> list:
+    """The numbers of ``text`` between ``sep``; a field that is not one, or a count not in ``counts``, names the shape."""
+    try:
+        values = [kind(part) for part in text.split(sep)]
+        if counts is None or len(values) in counts:
+            return values
+    except ValueError:
+        pass
+    raise ValueError(f"{option}: expected {shape}, got {text!r}")
 
 
-def _parse_range(text: str) -> range:
-    parts = [int(p) for p in text.split(":")]
-    if len(parts) not in (2, 3):
-        raise ValueError(f"expected LO:HI or LO:HI:STEP, got {text!r}")
+def _parse_pair(text: str, option: str, kind: type = int) -> tuple:
+    shape = f"two comma-separated {'integers' if kind is int else 'numbers'}"
+    return tuple(_numbers(text, option, shape, ",", kind, (2,)))
+
+
+def _parse_range(text: str, option: str) -> range:
+    parts = _numbers(text, option, "LO:HI or LO:HI:STEP", ":", int, (2, 3))
     lo, hi, step = (parts + [1])[:3]
     if step < 1:
         raise ValueError("step must be >= 1")
@@ -88,7 +95,7 @@ def _json_line(payload: dict) -> str:
 
 
 def cmd_height(args: argparse.Namespace) -> str:
-    pt = TorsionPoint(args.d, *_parse_pair(args.c))
+    pt = TorsionPoint(args.d, *_parse_pair(args.c, "--c"))
     parts = total_height(pt)
     return _json_line({**vars(pt), "order": order(pt), "archimedean": parts.archimedean,
                        "nonarchimedean": parts.nonarchimedean, "total": parts.total,
@@ -118,7 +125,7 @@ def cmd_grid(args: argparse.Namespace) -> str:
 
 
 def cmd_stats(args: argparse.Namespace) -> str:
-    ds = _parse_range(args.d_range)
+    ds = _parse_range(args.d_range, "--d-range")
     grid.check_stats_cost(ds)
     rows = [grid.stats(d, args.epsilon) for d in ds]
     if args.format == "json":
@@ -136,15 +143,12 @@ def cmd_limits(args: argparse.Namespace) -> str:
     if (args.d_list is None) == (args.primes is None):
         raise ValueError("limits: give exactly one of --d-list or --primes")
     if args.d_list is not None:
-        d_range = [int(v) for v in args.d_list.split(",")]
+        d_range = _numbers(args.d_list, "--d-list", "comma-separated integers")
         if max(d_range) > MAX_ORDER:
             raise ValueError(f"--d-list: {max(d_range)} exceeds the largest order with a height, {MAX_ORDER}")
         terms = sum(arith.euler_phi(d) // 2 for d in d_range if d >= 1)
     else:
-        bounds = args.primes.split(":")
-        if len(bounds) != 2:
-            raise ValueError(f"--primes: expected LO:HI, got {args.primes!r}")
-        lo, hi = (int(v) for v in bounds)
+        lo, hi = _numbers(args.primes, "--primes", "LO:HI", ":", int, (2,))
         d_range = _primes_in(lo, hi)
         if not d_range:
             raise ValueError(f"no primes in [{lo}, {hi}]")
@@ -155,7 +159,7 @@ def cmd_limits(args: argparse.Namespace) -> str:
                          f"{grid.MAX_STATS_SUMMANDS}")
     curve = None
     if args.a is not None:
-        curve = curves.TorsionCurve(*_parse_pair(args.a), 1 if args.e is None else args.e)
+        curve = curves.TorsionCurve(*_parse_pair(args.a, "--a"), 1 if args.e is None else args.e)
     elif args.e is not None:
         raise ValueError("limits: --e needs --a")
     exp = curves.limit_experiment(curve, d_range, random_witness=args.random_witness, seed=args.seed)
@@ -166,7 +170,7 @@ def cmd_limits(args: argparse.Namespace) -> str:
 
 
 def cmd_curve(args: argparse.Namespace) -> str:
-    curve = curves.TorsionCurve(*_parse_pair(args.a), args.e)
+    curve = curves.TorsionCurve(*_parse_pair(args.a, "--a"), args.e)
     return _json_line({**vars(curve), "value": curves.limit_height(curve)})
 
 
@@ -199,7 +203,7 @@ def cmd_amoeba(args: argparse.Namespace) -> str:
                          "--contains/--moment/--volume/--psi-average/--ronkin/--dual/--ronkin-samples")
     tol = {} if args.tol is None else {"tol": args.tol}
     if args.contains is not None:
-        u = amoeba.AmoebaPoint(*_parse_pair(args.contains, float))
+        u = amoeba.AmoebaPoint(*_parse_pair(args.contains, "--contains", float))
         return _json_line({**vars(u), "contains": amoeba.contains(u), "region": amoeba.region(u).value})
     if args.moment is not None:
         return _json_line({"m": args.moment, **vars(amoeba.south_moment(args.moment, **tol))})
@@ -208,10 +212,10 @@ def cmd_amoeba(args: argparse.Namespace) -> str:
     if args.psi_average:
         return _json_line({"psi_average": amoeba.psi_average(**tol)})
     if args.ronkin is not None:
-        u = amoeba.AmoebaPoint(*_parse_pair(args.ronkin, float))
+        u = amoeba.AmoebaPoint(*_parse_pair(args.ronkin, "--ronkin", float))
         return _json_line({**vars(u), "ronkin": amoeba.ronkin(u)})
     if args.dual is not None:
-        x = _parse_pair(args.dual, float)
+        x = _parse_pair(args.dual, "--dual", float)
         return _json_line({"x1": x[0], "x2": x[1], "value": amoeba.legendre_dual(x)})
     axis1, axis2 = _sample_axes(args.ronkin_samples)
     u1, u2 = np.repeat(axis1, len(axis2)), np.tile(axis2, len(axis1))

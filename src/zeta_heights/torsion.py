@@ -20,14 +20,16 @@ of (c1, c2).  That distance increases with m, so the largest of the three
 distances of a unit is the one of its largest folded residue: one sine and
 one log per unit.  The units of e are sieved by the primes of e, and the
 folding makes the units k and e - k give the same summand bit for bit, so
-only the units k <= e/2 are summed; with an exactly rounded sum (exact in
-int64 chunks, see ``_row_sums``) this half-orbit mean is the full Galois
-average to the last bit.  A single height sieves [0, e/2] only and
+only the units k <= e/2 are summed; with a correctly rounded sum (one
+level of exact chunks and a bounded float remainder, certified or taken
+deeper, see ``_row_sums``) this half-orbit mean is the full Galois average
+to the last bit.  A single height sieves [0, e/2] only and
 streams the sieve in slices, keeping no array of the order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import math
@@ -210,35 +212,52 @@ def _folded_max(e: int, c1, c2, k: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(_fold(r1, e, buf), _fold(r2, e, buf), out=r1), _fold(r3, e, buf), out=r1)
 
 
-def _row_sums(blocks) -> list[float]:
-    """Correctly rounded sum of each row of finite float64 2-D blocks with the same rows, which it overwrites.
+def _pow2(x: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
+    """x * 2**s, by a multiply where 2**s and 2**-s are normal doubles."""
+    return np.multiply(x, 2.0**s, out=out) if abs(s) < 1022 else np.ldexp(x, s, out=out)
 
-    Row i of the result is math.fsum over row i of every block, bit for bit.
-    A block of n columns whose values lie below 2**E splits exactly into
-    int64 chunks trunc(x / 2**s) below 2**b, b = 63 - bit_length(n - 1),
-    for s = E - b, E - 2*b, ... until no remainder is left (scaling by
-    2**-s and x - chunk*2**s are exact), so that a row of n chunks sums
-    below 2**63.  The row sums combine as Python ints scaled to the least
-    s, and int / 2**-s rounds once.  A zero sum is +0.0, as math.fsum
-    gives it.
+
+def _row_sums(blocks) -> list[float]:
+    """Correctly rounded sum of each row of the finite float64 2-D blocks, all of the same rows, that ``blocks()`` makes.
+
+    Row i is math.fsum over row i of every block, bit for bit; the blocks
+    are overwritten.  A block of n <= 2**26 columns below 2**E splits at
+    s = E - b, b = 53 - bit_length(n - 1), exactly into chunks trunc(x / 2**s),
+    whose rows sum exactly in float, and remainders below 2**s, whose float
+    row sums err by at most gamma(n - 1)*n*2**s < n*n*2**(s - 53), with
+    gamma(k) = k*u/(1 - k*u), u = 2**-53 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 4.2).  The first pass takes this one level: where
+    both ends of every row's interval round to the same double, that is the
+    sum.  Otherwise ``blocks()`` is called again and split at s = E - b,
+    E - 2*b, ... until no remainder is left.  The parts add up as Python
+    ints at the least scale and round once; a zero sum is +0.0, as fsum gives it.
     """
-    parts, rows = [], 0
-    for block in blocks:
-        rows, bits = block.shape[0], 63 - (block.shape[1] - 1).bit_length()
-        buf = np.empty_like(block)
-        left = np.abs(block, out=buf).max(initial=0.0)
-        s = math.frexp(left)[1]
-        while left:
-            s -= bits
-            chunk = np.ldexp(block, -s, out=buf).astype(np.int64)
-            parts.append((chunk.sum(axis=1).tolist(), s))
-            block -= np.ldexp(chunk, s, out=buf)
-            left = block.any()
-    low = min((s for _, s in parts), default=0)
-    totals = [0] * rows
-    for sums, s in parts:
-        totals = [t + (c << (s - low)) for t, c in zip(totals, sums)]
-    return [t / (1 << -low) if low < 0 else float(t << low) for t in totals]
+    for exact in (False, True):
+        parts, rows, low = [], 0, 0
+        for block in blocks():
+            (rows, n), buf = block.shape, np.abs(block)
+            bits, left = 53 - (n - 1).bit_length(), buf.max(initial=0.0)
+            s = math.frexp(left)[1]
+            while left:
+                s -= bits
+                sums = np.trunc(_pow2(block, -s, buf), out=buf).sum(axis=1).tolist()
+                block -= _pow2(buf, s, buf)
+                left = exact and block.any()
+                # the remainder sums, in units of 2**(s - 53) truncated, are off by at most n*n + 1
+                fracs = [0.0] * rows if exact else block.sum(axis=1).tolist()
+                parts.append((sums, fracs, s - 53, 0 if exact else n * n + 1))
+                low = min(low, s - 53)
+        totals, doubt = [0] * rows, 0
+        for sums, fracs, s, d in parts:
+            totals = [t + ((int(c) << 53) + int(math.ldexp(f, -s)) << s - low) for t, c, f in zip(totals, sums, fracs)]
+            doubt += d << s - low
+        if not doubt:  # exact: int / 2**-low rounds once
+            return [t / (1 << -low) for t in totals]
+        # ldexp rounds an int once, to 53 bits, then scales it exactly, or, below 2**-1022, an int below 2**53
+        with contextlib.suppress(OverflowError):  # an end of an interval rounding past the largest double
+            sums = [math.ldexp(t + doubt, low) for t in totals]
+            if low >= -1075 and sums == [math.ldexp(t - doubt, low) for t in totals]:
+                return sums
 
 
 def _unit_ratio(e: int, c1: int, c2: int) -> int | None:
@@ -288,7 +307,7 @@ def archimedean_height(pt: TorsionPoint) -> float:
         x /= e
         return np.log(np.multiply(np.sin(x, out=x), 2.0, out=x), out=x)[None]
 
-    return _row_sums(map(logs, range(0, len(half), step)))[0] / n
+    return _row_sums(lambda: map(logs, range(0, len(half), step)))[0] / n
 
 
 @_per_order
@@ -298,12 +317,6 @@ def _inverses(e: int) -> np.ndarray:
     units = _units_array(e)
     inv[units] = [pow(u, -1, e) for u in units.tolist()]
     return inv
-
-
-def _log_distances(e: int) -> np.ndarray:
-    """log |exp(2*pi*i*m/e) - 1| for m in [0, e/2], -inf at m = 0."""
-    with np.errstate(divide="ignore"):
-        return np.log(_root_distances(np.arange(e // 2 + 1, dtype=np.int64), e))
 
 
 def total_heights(e: int, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -321,12 +334,14 @@ def total_heights(e: int, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     if np.any(np.gcd(np.gcd(a, b), e) != 1):
         raise ValueError(f"residue pairs must be primitive mod {e}")
     k = np.flatnonzero(_coprime(e, e // 2))
-    table = _log_distances(e)
+    with np.errstate(divide="ignore"):  # log |exp(2*pi*i*m/e) - 1| for m in [0, e/2], -inf at m = 0
+        table = np.log(_root_distances(np.arange(e // 2 + 1, dtype=np.int64), e))
     nonarch = nonarchimedean_height(TorsionPoint(e, 1, 0))
     step = max(1, _BLOCK // len(k))
     sums = []
     for lo in range(0, len(a), step):
-        sums += _row_sums([table[_folded_max(e, a[lo : lo + step, None], b[lo : lo + step, None], k)]])
+        m = _folded_max(e, a[lo : lo + step, None], b[lo : lo + step, None], k)
+        sums += _row_sums(lambda: [table[m]])
     return np.array(sums) / len(k) + nonarch
 
 

@@ -601,6 +601,28 @@ class TestParsing:
         assert all(r["order"] == r["d"] for r in rows)
 
 
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("argv, message", [
+        (["height", "--d", "6", "--c", "1,x"], "--c: expected two comma-separated integers, got '1,x'"),
+        (["height", "--d", "6", "--c", "1"], "--c: expected two comma-separated integers, got '1'"),
+        (["amoeba", "--ronkin", "1,y"], "--ronkin: expected two comma-separated numbers, got '1,y'"),
+        (["amoeba", "--contains", "1,2,3"], "--contains: expected two comma-separated numbers, got '1,2,3'"),
+        (["amoeba", "--dual", "0.5;0.5"], "--dual: expected two comma-separated numbers, got '0.5;0.5'"),
+        (["curve", "--a", "1,z"], "--a: expected two comma-separated integers, got '1,z'"),
+        (["limits", "--d-list", "5,7", "--a", "1,z"], "--a: expected two comma-separated integers, got '1,z'"),
+        (["limits", "--d-list", "2,x"], "--d-list: expected comma-separated integers, got '2,x'"),
+        (["limits", "--d-list", "5,,7"], "--d-list: expected comma-separated integers, got '5,,7'"),
+        (["limits", "--primes", "a:b"], "--primes: expected LO:HI, got 'a:b'"),
+        (["stats", "--d-range", "a:b"], "--d-range: expected LO:HI or LO:HI:STEP, got 'a:b'"),
+        (["stats", "--d-range", "2:8:x"], "--d-range: expected LO:HI or LO:HI:STEP, got '2:8:x'"),
+        (["stats", "--d-range", "2"], "--d-range: expected LO:HI or LO:HI:STEP, got '2'"),
+    ])
+    def test_name_the_option_and_its_shape(self, capsys, argv, message):
+        # a field that is not a number printed Python's conversion message
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestParseHelpers:
     def test_float_pair_error(self):
         assert cli.main(["amoeba", "--contains", "1"]) == 2

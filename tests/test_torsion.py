@@ -311,22 +311,35 @@ def exactly_rounded(values: list[float]) -> float:
         return float(sum(map(Fraction, values)))
 
 
+def row_sums(blocks: list[np.ndarray]) -> tuple[list[float], int]:
+    """``_row_sums`` over copies of ``blocks``, and the number of times it made them."""
+    calls = 0
+
+    def make() -> list[np.ndarray]:
+        nonlocal calls
+        calls += 1
+        return [b.copy() for b in blocks]
+
+    return torsion._row_sums(make), calls
+
+
 class TestExactSum:
     """``_row_sums`` against math.fsum row by row, on 2-D blocks and on column slices of them streamed as blocks."""
 
     B = torsion._BLOCK
 
-    def check(self, rows, split: int | None = None) -> None:
+    def check(self, rows, split: int | None = None) -> int:
         block = np.array(rows, dtype=float).reshape(len(rows), -1)
-        blocks = [block.copy()] if split is None else [block[:, :split].copy(), block[:, split:].copy()]
+        blocks = [block] if split is None else [block[:, :split], block[:, split:]]
         try:
             want = [exactly_rounded(row) for row in block.tolist()]
         except OverflowError:
             with pytest.raises(OverflowError):
-                torsion._row_sums(blocks)
-            return
-        got = torsion._row_sums(blocks)
+                row_sums(blocks)
+            return 0
+        got, calls = row_sums(blocks)
         assert [v.hex() for v in got] == [v.hex() for v in want]  # hex tells -0.0 from 0.0
+        return calls
 
     @settings(max_examples=400, deadline=None)
     @given(st.integers(1, 40).flatmap(lambda n: st.lists(
@@ -359,18 +372,130 @@ class TestExactSum:
         self.check([values])
         self.check([values, [-v for v in values], values[::-1]], 1)
 
+    # exact sums on a rounding midpoint of doubles, or 2^-200 off it, in two blocks: one level cannot tell
+    @pytest.mark.parametrize("values", [[1.0, 2**-53], [1.0, 2**-53, 2**-200], [1.0, 2**-53, -(2**-200)],
+                                        [3.0, 2**-52, 2**-300], [2**-1000, 2**-1053, -(2**-1100)]])
+    def test_near_a_rounding_midpoint_goes_deeper(self, values):
+        for row in (values, [-v for v in values]):
+            assert self.check([row], 1) > 1
+
+    @pytest.mark.parametrize("x", [1.0, 0.1, 5e-324, 2.0**-1022, 1e300, 1.7976931348623157e308])
+    def test_cancelling_rows_and_negative_zeros(self, x):
+        # x, -x in one block and in two; rows of -0.0 beside them
+        self.check([[x, -x], [-x, x], [-0.0, -0.0]])
+        self.check([[x, -x], [-x, x], [-0.0, -0.0]], 1)
+        self.check([[x, 0.1, -x], [-0.0, -0.0, -0.0]], 1)
+
     def test_sum_past_an_intermediate_overflow(self):
         big = 1.7976931348623157e308
         with pytest.raises(OverflowError):
             fsum([big, big, -big])
-        assert torsion._row_sums([np.array([[big, big, -big], [-big, -big, big]])]) == [big, -big]
+        assert row_sums([np.array([[big, big, -big], [-big, -big, big]])])[0] == [big, -big]
 
     def test_blocks_of_several_arrays(self):
         values = [0.1] * 10 + [1e16, -1e16] + [0.3] * (self.B + 5)
         blocks = [np.array([values[:7]]), np.empty((1, 0)), np.array([values[7:]])]
-        assert torsion._row_sums(blocks) == [fsum(values)]
-        assert torsion._row_sums([np.empty((2, 0))]) == [0.0, 0.0]
-        assert torsion._row_sums([]) == []
+        assert row_sums(blocks)[0] == [fsum(values)]
+        assert row_sums([np.empty((2, 0))]) == ([0.0, 0.0], 1)
+        assert row_sums([]) == ([], 1)
+
+    def test_bound_holds_for_any_summation_order(self):
+        # Remainders summed with the error gamma(n - 1) * sum|f| allows, 3/4 of it downward: the one-level
+        # interval still holds the exact sum, 2^-100 above the midpoint 1 + 2^-53, and the sum goes deeper.
+        n, u = 64, 2.0**-53
+        a = (1 - 2.0**-20) * 2.0**-46  # a remainder just below 2^s, s = 1 - (53 - 6) for 1.0 and 64 columns
+        row = [1.0] + [a, -a] * 31 + [2.0**-53 + 2.0**-100]
+        gamma = (n - 1) * u / (1 - (n - 1) * u)
+
+        class WorstCaseSum(np.ndarray):
+            def sum(self, axis=None, **kwargs):
+                assert axis == 1 and not kwargs
+                out = []
+                for r in np.asarray(self).tolist():
+                    exact = fsum(r)  # integer chunks below 2^53 sum exactly in any order
+                    out.append(exact if all(v == int(v) for v in r) else exact - 0.75 * gamma * fsum(map(abs, r)))
+                return np.array(out)
+
+        calls = 0
+
+        def make():
+            nonlocal calls
+            calls += 1
+            return [np.array([row]).view(WorstCaseSum)]
+
+        assert torsion._row_sums(make)[0].hex() == fsum(row).hex() == (1 + 2.0**-52).hex()
+        assert calls == 2
+
+
+class TestOneLevel:
+    """The sums of point queries, a limits window and a class table certify after one level.
+
+    ``_row_sums`` makes its blocks a second time only where one level cannot
+    round a row; a change that sends every sum deeper doubles its cost and
+    fails here.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> list[int]:
+        calls, row_sums = [], torsion._row_sums
+
+        def counting(blocks):
+            calls.append(0)
+
+            def make():
+                calls[-1] += 1
+                return blocks()
+
+            return row_sums(make)
+
+        monkeypatch.setattr(torsion, "_row_sums", counting)
+        return calls
+
+    def test_heights_at_orders_1e5_to_1e6(self, calls):
+        # one order per stratum of [1e5, 1e6]: primes and multiples of 2*3*5*7*11, c1 a unit
+        rng = random.Random(2310)
+        for i in range(40):
+            lo, hi = 100_000 + i * 22_500, 100_000 + (i + 1) * 22_500
+            if i % 2:
+                d = 2310 * rng.randrange(lo // 2310 + 1, hi // 2310)
+            else:
+                d = next(p for p in range(rng.randrange(lo, hi - 200), hi) if arith._factorize(p) == ((p, 1),))
+            c1 = next(c for c in iter(lambda: rng.randrange(1, d), None) if gcd(c, d) == 1)
+            torsion.total_height(TorsionPoint(d, c1, rng.randrange(d)))
+        assert calls == [1] * 40
+
+    def test_limits_window(self, calls, capsys):
+        assert cli.main(["limits", "--primes", "10905:12905"]) == 0
+        assert capsys.readouterr().out.count("\n") == 210
+        assert calls == [1] * 209
+
+    def test_class_table_row_groups(self, calls):
+        torsion.class_table.cache_clear()
+        torsion.class_table(9973)
+        assert len(calls) > 200 and set(calls) == {1}
+
+
+def shaped_pair(d: int, z: int, w: int, form: int) -> tuple[int, int]:
+    """(c1, c2) in a form of height 0 (0-3), of height log 2 (4-6, d even), or (z, w) (7)."""
+    h, t = d // 2 * (d % 2 == 0), d // 3 * (d % 3 == 0)
+    return [(0, z), (z, 0), (z, z), (t, 2 * t), (h, z), (z, h), (z, z + h), (z, w)][form]
+
+
+class TestHeightRange:
+    """Totals at orders up to 1e5 lie in [0, log 2], and at 0 and log 2 where classify_extremal says so."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(2, 10**5), z=st.integers(1, 10**5), w=st.integers(0, 10**5), form=st.integers(0, 7))
+    def test_total_in_range_and_extremal_values(self, d, z, w, form):
+        pt = TorsionPoint(d, *shaped_pair(d, z, w, form))
+        assume(not pt.is_trivial)
+        total = torsion.total_height(pt).total
+        assert -1e-12 <= total <= log(2) + 1e-12
+        kind = torsion.classify_extremal(pt)
+        if kind is Extremality.MIN:
+            assert abs(total) <= 1e-12
+        elif kind is Extremality.MAX:
+            assert abs(total - log(2)) <= 1e-12
 
 
 class TestNonArchimedeanHeight:
