@@ -20,11 +20,10 @@ of (c1, c2).  That distance increases with m, so the largest of the three
 distances of a unit is the one of its largest folded residue: one sine and
 one log per unit.  The units of e are sieved by the primes of e, and the
 folding makes the units k and e - k give the same summand bit for bit, so
-only the units k <= e/2 are summed; with a correctly rounded sum (one
-level of exact chunks and a bounded float remainder, certified or taken
-deeper, see ``_row_sums``) this half-orbit mean is the full Galois average
-to the last bit.  A single height sieves [0, e/2] only and
-streams the sieve in slices, keeping no array of the order.
+only the units k <= e/2 are summed; with a correctly rounded sum (one chunk
+level and a bounded remainder, deeper only if in doubt: ``_row_sums``) this
+half-orbit mean is the full Galois average to the last bit.  A single height
+streams its sieve of [0, e/2] in slices, keeping no array of the order.
 """
 
 from __future__ import annotations
@@ -191,6 +190,7 @@ def _root_distances(residues: np.ndarray, e: int) -> np.ndarray:
 # for class_table(4096): glibc malloc hands the freed temporaries back to
 # the system at every block.
 _BLOCK = 1 << 14
+_FSUM_TERMS = 256  # largest block whose rows math.fsum sums faster than one chunk split does
 
 
 def _fold(r: np.ndarray, e: int, buf: np.ndarray) -> np.ndarray:
@@ -212,52 +212,53 @@ def _folded_max(e: int, c1, c2, k: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(_fold(r1, e, buf), _fold(r2, e, buf), out=r1), _fold(r3, e, buf), out=r1)
 
 
-def _pow2(x: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
-    """x * 2**s, by a multiply where 2**s and 2**-s are normal doubles."""
-    return np.multiply(x, 2.0**s, out=out) if abs(s) < 1022 else np.ldexp(x, s, out=out)
-
-
 def _row_sums(blocks) -> list[float]:
     """Correctly rounded sum of each row of the finite float64 2-D blocks, all of the same rows, that ``blocks()`` makes.
 
     Row i is math.fsum over row i of every block, bit for bit; the blocks
-    are overwritten.  A block of n <= 2**26 columns below 2**E splits at
-    s = E - b, b = 53 - bit_length(n - 1), exactly into chunks trunc(x / 2**s),
-    whose rows sum exactly in float, and remainders below 2**s, whose float
-    row sums err by at most gamma(n - 1)*n*2**s < n*n*2**(s - 53), with
-    gamma(k) = k*u/(1 - k*u), u = 2**-53 (Higham, Accuracy and Stability of
-    Numerical Algorithms, 4.2).  The first pass takes this one level: where
-    both ends of every row's interval round to the same double, that is the
-    sum.  Otherwise ``blocks()`` is called again and split at s = E - b,
-    E - 2*b, ... until no remainder is left.  The parts add up as Python
-    ints at the least scale and round once; a zero sum is +0.0, as fsum gives it.
+    are overwritten.  The first pass hands blocks of at most _FSUM_TERMS values
+    to fsum whole and splits each other one, n <= 2**26 columns below 2**E, once
+    at s = E - b, b = 53 - bit_length(n - 1), into chunks trunc(x / 2**s), whose
+    rows sum exactly in float, and remainders below 2**s, whose float row sums
+    err by at most gamma(n - 1)*n*2**s <= n*n*2**(s - 53) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 4.2).  Where fsum rounds each row's terms
+    plus and minus these bounds to the same double, that is the sum.  Otherwise
+    ``blocks()`` is called again and split at s = E - b, E - 2*b, ... until no
+    remainder is left; the chunk sums add up as Python ints and round once.
     """
-    for exact in (False, True):
-        parts, rows, low = [], 0, 0
+    def pow2(x: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:  # x * 2**s, a multiply where 2**+-s are normal
+        return np.multiply(x, 2.0**s, out=out) if abs(s) < 1022 else np.ldexp(x, s, out=out)
+
+    with contextlib.suppress(OverflowError):  # a chunk sum or an end past the largest double
+        terms, up = [], []
         for block in blocks():
-            (rows, n), buf = block.shape, np.abs(block)
-            bits, left = 53 - (n - 1).bit_length(), buf.max(initial=0.0)
-            s = math.frexp(left)[1]
-            while left:
-                s -= bits
-                sums = np.trunc(_pow2(block, -s, buf), out=buf).sum(axis=1).tolist()
-                block -= _pow2(buf, s, buf)
-                left = exact and block.any()
-                # the remainder sums, in units of 2**(s - 53) truncated, are off by at most n*n + 1
-                fracs = [0.0] * rows if exact else block.sum(axis=1).tolist()
-                parts.append((sums, fracs, s - 53, 0 if exact else n * n + 1))
-                low = min(low, s - 53)
-        totals, doubt = [0] * rows, 0
-        for sums, fracs, s, d in parts:
-            totals = [t + ((int(c) << 53) + int(math.ldexp(f, -s)) << s - low) for t, c, f in zip(totals, sums, fracs)]
-            doubt += d << s - low
-        if not doubt:  # exact: int / 2**-low rounds once
-            return [t / (1 << -low) for t in totals]
-        # ldexp rounds an int once, to 53 bits, then scales it exactly, or, below 2**-1022, an int below 2**53
-        with contextlib.suppress(OverflowError):  # an end of an interval rounding past the largest double
-            sums = [math.ldexp(t + doubt, low) for t in totals]
-            if low >= -1075 and sums == [math.ldexp(t - doubt, low) for t in totals]:
-                return sums
+            if block.size <= _FSUM_TERMS:  # fsum takes a few short rows whole
+                terms.append(block.tolist())
+                continue
+            n, buf = block.shape[1], np.abs(block)
+            s = math.frexp(buf.max(initial=0.0))[1] + (n - 1).bit_length() - 53
+            chunks = np.trunc(pow2(block, -s, buf), out=buf).sum(axis=1).tolist()
+            block -= pow2(buf, s, buf)  # the remainders, whose row sums are within n*n*2**(s - 53)
+            terms.append([[math.ldexp(c, s), f] for c, f in zip(chunks, block.sum(axis=1).tolist())])
+            up.append(math.ldexp(n * n, max(s - 53, -1074)))
+        rows, down = terms[0] if len(terms) == 1 else [sum(row, []) for row in zip(*terms)], [-b for b in up]
+        sums = [math.fsum(row + up) for row in rows]
+        if not up or sums == [math.fsum(row + down) for row in rows]:
+            return sums
+    parts, rows = [], 0
+    for block in blocks():
+        (rows, n), buf = block.shape, np.abs(block)
+        bits, s, left = 53 - (n - 1).bit_length(), math.frexp(buf.max(initial=0.0))[1], True
+        while left:
+            s -= bits
+            parts.append((np.trunc(pow2(block, -s, buf), out=buf).sum(axis=1).tolist(), s))
+            block -= pow2(buf, s, buf)
+            left = block.any()
+    low = min((s for _, s in parts), default=0)
+    totals = [0] * rows
+    for sums, s in parts:
+        totals = [t + (int(c) << (s - low)) for t, c in zip(totals, sums)]
+    return [t / (1 << -low) if low < 0 else float(t << low) for t in totals]
 
 
 def _unit_ratio(e: int, c1: int, c2: int) -> int | None:
@@ -340,8 +341,7 @@ def total_heights(e: int, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     step = max(1, _BLOCK // len(k))
     sums = []
     for lo in range(0, len(a), step):
-        m = _folded_max(e, a[lo : lo + step, None], b[lo : lo + step, None], k)
-        sums += _row_sums(lambda: [table[m]])
+        sums += _row_sums(lambda: [table[_folded_max(e, a[lo : lo + step, None], b[lo : lo + step, None], k)]])
     return np.array(sums) / len(k) + nonarch
 
 

@@ -328,6 +328,13 @@ class TestExactSum:
 
     B = torsion._BLOCK
 
+    @pytest.fixture(autouse=True, scope="class")
+    def split_every_block(self):
+        # the chunk split runs on every block here, short ones too (TestShortBlocks sums those whole)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(torsion, "_FSUM_TERMS", 0)
+            yield
+
     def check(self, rows, split: int | None = None) -> int:
         block = np.array(rows, dtype=float).reshape(len(rows), -1)
         blocks = [block] if split is None else [block[:, :split], block[:, split:]]
@@ -425,6 +432,25 @@ class TestExactSum:
 
         assert torsion._row_sums(make)[0].hex() == fsum(row).hex() == (1 + 2.0**-52).hex()
         assert calls == 2
+
+
+class TestShortBlocks:
+    """Blocks of at most ``_FSUM_TERMS`` values go to math.fsum whole: one pass alone, the split's bound beside others."""
+
+    @pytest.mark.parametrize("values", [[1.0, 2**-53], [1.0, 2**-53, -(2**-200)], [0.1, -0.1], [-0.0, -0.0]])
+    def test_alone_in_one_pass(self, values):
+        rows = [values, [-v for v in values], values[::-1]]
+        got, calls = row_sums([np.array(rows)])
+        assert [v.hex() for v in got] == [fsum(row).hex() for row in rows]
+        assert calls == 1
+
+    def test_beside_a_split_block(self):
+        # 1 + 2^-53 + 2^-200: the long block's bound leaves the midpoint in doubt, so both blocks are made again
+        short, long = [2**-200, 0.5], [1.0, -0.5, 2**-53] + [0.0] * torsion._FSUM_TERMS
+        for sign in (1.0, -1.0):
+            got, calls = row_sums([sign * np.array([short]), sign * np.array([long])])
+            assert got[0].hex() == fsum(sign * v for v in short + long).hex() == (sign * (1 + 2.0**-52)).hex()
+            assert calls == 2
 
 
 class TestOneLevel:
