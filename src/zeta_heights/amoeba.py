@@ -17,7 +17,8 @@ it rho = Psi(u) = min(0, u1, u2).  The angles come from Kahan's half-angle
 formula, accurate for needle-like triangles (W. Kahan, Miscalculating Area
 and Angles of a Needle-like Triangle, 2014), which the tentacles are.
 
-rho is concave and the determinant of its Hessian equals 1/pi^2 on the
+rho is concave, its gradient is (a1, a2)/pi, and the determinant of its
+Hessian, closed-form in the cotangents of the angles, equals 1/pi^2 on the
 amoeba's interior.  The average of -Psi over the amoeba is the limit
 height eta, giving a route to that constant independent of both the zeta
 series and the torus quadrature.
@@ -41,6 +42,7 @@ from .errors import IllConditioned
 MAX_MOMENT = 170
 
 COORD_LIMIT = 700.0  # exp(|u|) must stay inside double range
+BOUNDARY_TOL = 1e-12  # a triangle slack at most this tags a point of the amoeba BOUNDARY
 
 _TAU = 2.0 * math.pi
 _LOG2 = math.log(2.0)
@@ -80,12 +82,12 @@ def contains(u: AmoebaPoint) -> bool:
     return bool(min(_triangle_slacks(u.u1, u.u2)) >= 0.0)
 
 
-def region(u: AmoebaPoint, boundary_tol: float = 1e-12) -> RegionTag:
+def region(u: AmoebaPoint) -> RegionTag:
     """Locate u among the three tentacle regions of the amoeba."""
     slack = min(_triangle_slacks(u.u1, u.u2))
     if slack < 0.0:
         return RegionTag.OUTSIDE
-    if slack <= boundary_tol:
+    if slack <= BOUNDARY_TOL:
         return RegionTag.BOUNDARY
     if min(0.0, u.u1) >= u.u2:
         return RegionTag.SOUTH
@@ -156,27 +158,33 @@ def psi_average(tol: float = 1e-10) -> float:
     return -2.0 * south_moment(1, tol).value / volume(tol)
 
 
-def ronkin_batch(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """The Ronkin function of 1 + z1 + z2 at the points (u1[i], u2[i]) of two 1-D arrays, in closed form.
+def _angles(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(num, den), a_i = 2 atan2(num[i], den[i]) the angle opposite r_i in (r0, r1, r2) = (1, e^{-u1}, e^{-u2}).
 
-    On the amoeba rho = (a1 u1 + a2 u2 - Л(a0) - Л(a1) - Л(a2))/pi, with a_i
-    the angle opposite the side r_i of the triangle (r0, r1, r2) = (1, e^{-u1},
-    e^{-u2}); off it rho = Psi.  The sides are scaled so that the largest is
-    1, which keeps every exponential in range, and sorted for Kahan's
-    half-angle formula.  Coordinates outside +-COORD_LIMIT, NaN included,
-    raise ValueError.
+    Kahan's half-angle formula on the sides, scaled so that the largest is 1 and sorted; off the amoeba
+    its smallest factor is clamped at 0.
     """
-    u1, u2 = np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)
-    if not ((np.abs(u1) <= COORD_LIMIT).all() and (np.abs(u2) <= COORD_LIMIT).all()):  # NaN fails too
-        raise ValueError(f"coordinates exceed the supported range +-{COORD_LIMIT}")
     scale = np.maximum(0.0, np.maximum(-u1, -u2))
     sides = np.exp(-np.array([scale, u1 + scale, u2 + scale]))
     order, cols = np.argsort(-sides, axis=0), np.arange(sides.shape[1])
     a, b, c = sides[order, cols]  # a >= b >= c
     # square roots of the four factors of Kahan's area formula; c - (a - b) < 0 off the amoeba
     x, y, z, w = np.sqrt([a + (b + c), np.maximum(c - (a - b), 0.0), c + (a - b), a + (b - c)])
-    angles = np.empty_like(sides)
-    angles[order, cols] = 2.0 * np.arctan2([z * w, y * w, y * z], [x * y, x * z, x * w])
+    num, den = np.empty_like(sides), np.empty_like(sides)
+    num[order, cols], den[order, cols] = [z * w, y * w, y * z], [x * y, x * z, x * w]
+    return num, den
+
+
+def ronkin_batch(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """The Ronkin function of 1 + z1 + z2 at the points (u1[i], u2[i]) of two 1-D arrays, in closed form.
+
+    On the amoeba rho = (a1 u1 + a2 u2 - Л(a0) - Л(a1) - Л(a2))/pi with the angles a_i of ``_angles``;
+    off it rho = Psi.  Coordinates outside +-COORD_LIMIT, NaN included, raise ValueError.
+    """
+    u1, u2 = np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)
+    if not ((np.abs(u1) <= COORD_LIMIT).all() and (np.abs(u2) <= COORD_LIMIT).all()):  # NaN fails too
+        raise ValueError(f"coordinates exceed the supported range +-{COORD_LIMIT}")
+    angles = 2.0 * np.arctan2(*_angles(u1, u2))
     cl = constants.clausen2(2.0 * angles)  # Cl_2(2t) = 2 Л(t)
     rho = (angles[1] * u1 + angles[2] * u2 - 0.5 * (cl[0] + cl[1] + cl[2])) / math.pi
     inside = np.minimum.reduce(_triangle_slacks(u1, u2)) >= 0.0
@@ -203,33 +211,21 @@ def legendre_dual(x: tuple[float, float]) -> float:
     return float(cl[0] + cl[1] - cl[2]) / _TAU
 
 
-def monge_ampere_density(u: AmoebaPoint, h: float = 1e-2) -> float:
-    """Determinant of the Hessian of -rho at u, expected 1/pi^2 inside.
+def monge_ampere_density(u: AmoebaPoint) -> float:
+    """det Hess(rho) at u, 1/pi^2 on the amoeba's interior, in closed form from the angle map.
 
-    Central second differences with step h, Richardson-extrapolated with
-    h/2.  In two dimensions det Hess(-rho) = det Hess(rho), so the stencil
-    is applied to rho directly.
+    grad rho = (a1, a2)/pi, and with c_i = cot a_i, d a_i/d log r_j = -c_k for i, j, k distinct, so Hess rho =
+    -[[c0 + c2, -c0], [-c0, c0 + c1]]/pi and the density is (c0 c1 + c1 c2 + c2 c0)/pi^2.  The rounded sides
+    still make a triangle, whose products sum to exactly 1; each c_i = (1/t_i - t_i)/2, t_i the half-angle
+    tangent of ``_angles``, is good to a few ulp of 1 + |c_i|, so the sum is good to a few ulp of
+    B = |c0 c1| + |c1 c2| + |c2 c0| + |c0| + |c1| + |c2|.  B grows near the boundary, where one angle tends to
+    pi, and deep in the tentacles, where one tends to 0; it is infinite or NaN off the amoeba or where a side
+    underflows.  IllConditioned is raised unless B <= 2^16, so that at most 16 of the 53 bits cancel.
     """
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
-    for k in range(16):
-        phi = _TAU * k / 16.0
-        probe = AmoebaPoint(u.u1 + 3.0 * h * math.cos(phi), u.u2 + 3.0 * h * math.sin(phi))
-        if not contains(probe):
-            raise IllConditioned(
-                f"({u.u1}, {u.u2}) is within 3h of the amoeba boundary; the stencil would leave it"
-            )
-
-    # the 3x3 stencils at steps h and h/2, one batch
-    keys = [(step, i, j) for step in (h, 0.5 * h) for i in (-1, 0, 1) for j in (-1, 0, 1)]
-    values = ronkin_batch([u.u1 + i * step for step, i, _ in keys], [u.u2 + j * step for step, _, j in keys])
-    rho = dict(zip(keys, values.tolist()))
-
-    def det_at(step: float) -> float:
-        center = rho[step, 0, 0]
-        fxx = (rho[step, 1, 0] - 2.0 * center + rho[step, -1, 0]) / step**2
-        fyy = (rho[step, 0, 1] - 2.0 * center + rho[step, 0, -1]) / step**2
-        fxy = (rho[step, 1, 1] - rho[step, 1, -1] - rho[step, -1, 1] + rho[step, -1, -1]) / (4.0 * step**2)
-        return fxx * fyy - fxy * fxy
-
-    return (4.0 * det_at(0.5 * h) - det_at(h)) / 3.0
+    num, den = _angles(np.array([u.u1]), np.array([u.u2]))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate triangle has cotangents of +-inf
+        c0, c1, c2 = (0.5 * (den / num - num / den))[:, 0].tolist()
+    if not abs(c0 * c1) + abs(c1 * c2) + abs(c2 * c0) + abs(c0) + abs(c1) + abs(c2) <= 2.0**16:  # NaN fails too
+        raise IllConditioned(f"({u.u1}, {u.u2}) is off the amoeba, near its boundary or deep in a tentacle: "
+                             f"the Monge-Ampere density would lose more than 16 bits")
+    return (c0 * c1 + c1 * c2 + c2 * c0) / math.pi**2

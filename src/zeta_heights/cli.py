@@ -62,6 +62,8 @@ def _parse_range(text: str, option: str) -> range:
 def _primes_in(lo: int, hi: int) -> list[int]:
     if hi > MAX_ORDER:
         raise ValueError(f"--primes: HI {hi} exceeds the largest order with a height, {MAX_ORDER}")
+    if hi < 2:
+        return []
     sieve = bytearray([1]) * (hi + 1)
     sieve[:2] = b"\x00\x00"
     for p in range(2, math.isqrt(hi) + 1):

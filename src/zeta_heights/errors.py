@@ -14,4 +14,4 @@ class EmptyIntersection(ValueError):
 
 
 class IllConditioned(ValueError):
-    """A finite-difference stencil would cross or touch the amoeba boundary."""
+    """The Monge-Ampere density was asked off the amoeba, or where rounding would swamp it."""

@@ -26,7 +26,7 @@ MAX_D = 4096
 
 # Largest psi(e)*phi(e)/2 summed over the distinct orders e of all moduli
 # of a stats call: about d*d/2 for one d, so d near 20000.  The symmetries
-# cut the summands computed about 6x: d = 10^4 takes 1.1 s on a 2-core Xeon.
+# cut the summands computed about 6x: d = 10^4 takes 0.2 s on a 2-core Xeon.
 MAX_STATS_SUMMANDS = 2 * 10**8
 
 # |h| below this counts as an exact height zero; the computed minima are

@@ -223,12 +223,14 @@ def _row_sums(blocks) -> list[float]:
     err by at most gamma(n - 1)*n*2**s <= n*n*2**(s - 53) (Higham, Accuracy and
     Stability of Numerical Algorithms, 4.2).  Where fsum rounds each row's terms
     plus and minus these bounds to the same double, that is the sum.  Otherwise
-    ``blocks()`` is called again and split at s = E - b, E - 2*b, ... until no
-    remainder is left; the chunk sums add up as Python ints and round once.
+    ``blocks()`` is called again and its rows in doubt (all of them after an
+    overflow) are split at s = E - b, E - 2*b, ... until no remainder is left;
+    the chunk sums add up as Python ints and round once.
     """
     def pow2(x: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:  # x * 2**s, a multiply where 2**+-s are normal
         return np.multiply(x, 2.0**s, out=out) if abs(s) < 1022 else np.ldexp(x, s, out=out)
 
+    doubt = None  # the rows to split to the end, all of them after an overflow
     with contextlib.suppress(OverflowError):  # a chunk sum or an end past the largest double
         terms, up = [], []
         for block in blocks():
@@ -243,10 +245,14 @@ def _row_sums(blocks) -> list[float]:
             up.append(math.ldexp(n * n, max(s - 53, -1074)))
         rows, down = terms[0] if len(terms) == 1 else [sum(row, []) for row in zip(*terms)], [-b for b in up]
         sums = [math.fsum(row + up) for row in rows]
-        if not up or sums == [math.fsum(row + down) for row in rows]:
+        doubt = [i for i, row in enumerate(rows) if sums[i] != math.fsum(row + down)] if up else []
+        if not doubt:
             return sums
     parts, rows = [], 0
     for block in blocks():
+        if doubt is None:
+            doubt, sums = range(len(block)), [0.0] * len(block)
+        block = block[doubt]
         (rows, n), buf = block.shape, np.abs(block)
         bits, s, left = 53 - (n - 1).bit_length(), math.frexp(buf.max(initial=0.0))[1], True
         while left:
@@ -256,9 +262,11 @@ def _row_sums(blocks) -> list[float]:
             left = block.any()
     low = min((s for _, s in parts), default=0)
     totals = [0] * rows
-    for sums, s in parts:
-        totals = [t + (int(c) << (s - low)) for t, c in zip(totals, sums)]
-    return [t / (1 << -low) if low < 0 else float(t << low) for t in totals]
+    for chunks, s in parts:
+        totals = [t + (int(c) << (s - low)) for t, c in zip(totals, chunks)]
+    for i, t in zip(doubt, totals):  # each row's exact sum does not depend on the others
+        sums[i] = t / (1 << -low) if low < 0 else float(t << low)
+    return sums
 
 
 def _unit_ratio(e: int, c1: int, c2: int) -> int | None:
@@ -433,10 +441,6 @@ def total_height(pt: TorsionPoint) -> HeightBreakdown:
     )
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def classify_extremal(pt: TorsionPoint) -> Extremality:
     """Exact residue-arithmetic test for height 0 or log 2.
 
@@ -451,11 +455,8 @@ def classify_extremal(pt: TorsionPoint) -> Extremality:
     if (3 * c1) % d == 0 and (2 * c1) % d == c2:
         return Extremality.MIN
     if d % 2 == 0:
-        half = d // 2
-        if c1 == half and not _is_power_of_two(d // math.gcd(c2, d)):
-            return Extremality.MAX
-        if c2 == half and not _is_power_of_two(d // math.gcd(c1, d)):
-            return Extremality.MAX
-        if (c2 - c1) % d == half and not _is_power_of_two(d // math.gcd(c1, d)):
-            return Extremality.MAX
+        for minus_one, z in ((c1, c2), (c2, c1), ((c2 - c1) % d, c1)):
+            n = d // math.gcd(z, d)  # the order of z, which must not be a power of 2
+            if minus_one == d // 2 and n & (n - 1):
+                return Extremality.MAX
     return Extremality.INTERIOR

@@ -616,6 +616,7 @@ class TestMalformedNumbers:
         (["stats", "--d-range", "a:b"], "--d-range: expected LO:HI or LO:HI:STEP, got 'a:b'"),
         (["stats", "--d-range", "2:8:x"], "--d-range: expected LO:HI or LO:HI:STEP, got '2:8:x'"),
         (["stats", "--d-range", "2"], "--d-range: expected LO:HI or LO:HI:STEP, got '2'"),
+        (["limits", "--primes", "5:-1"], "no primes in [5, -1]"),  # printed isqrt's message
     ])
     def test_name_the_option_and_its_shape(self, capsys, argv, message):
         # a field that is not a number printed Python's conversion message

@@ -386,6 +386,22 @@ class TestExactSum:
         for row in (values, [-v for v in values]):
             assert self.check([row], 1) > 1
 
+    def test_only_the_rows_in_doubt_go_deeper(self):
+        # rows 1 and 3 sum to rounding midpoints, 2^-200 off; the others certify after one level
+        rows = [[0.1, 0.2, 0.3], [1.0, 2**-53, 2**-200], [-5.0, 0.25, 1e-3], [-3.0, -(2**-52), 2**-300],
+                [7.0, -0.5, 2**-60]]
+        assert self.check(rows, 1) == 2
+        assert self.check(rows[::-1], 2) == 2
+
+        class CountRows(np.ndarray):
+            def sum(self, axis=None, **kwargs):
+                summed.append(self.shape[0])
+                return np.asarray(self).sum(axis, **kwargs)
+
+        summed = []
+        row_sums([np.array(rows)[:, :1].view(CountRows), np.array(rows)[:, 1:].view(CountRows)])
+        assert set(summed[:4]) == {5} and set(summed[4:]) == {2}  # the second pass splits rows 1 and 3 only
+
     @pytest.mark.parametrize("x", [1.0, 0.1, 5e-324, 2.0**-1022, 1e300, 1.7976931348623157e308])
     def test_cancelling_rows_and_negative_zeros(self, x):
         # x, -x in one block and in two; rows of -0.0 beside them
