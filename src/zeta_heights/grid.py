@@ -2,9 +2,9 @@
 
 A cell (c1, c2) of order e = d / gcd(c1, c2, d) reduces to a primitive
 pair mod e, and those fall into the psi(e) unit classes of P^1(Z/e), each
-of phi(e) pairs of one height (``torsion.class_table``).  A grid is one
-gather per order from that table; the statistics weight each class by
-phi(e) and form no d x d array.
+of phi(e) pairs of one height (``torsion.class_table``, an array of heights).
+A grid is one gather per order from that array; the statistics weight each
+class by phi(e), form no d x d array, and sum their mean as one row.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def compute_grid(d: int) -> HeightGrid:
     for e in arith.divisors(d)[1:]:
         index = torsion.class_index(e, np.arange(e)[:, None], np.arange(e))
         primitive = index >= 0
-        values[:: d // e, :: d // e][primitive] = torsion.class_table(e)["height"][index[primitive]]
+        values[:: d // e, :: d // e][primitive] = torsion.class_table(e)[index[primitive]]
     values.flags.writeable = False
     return HeightGrid(d=d, values=values)
 
@@ -93,21 +93,23 @@ def stats(d: int, eps: float) -> DistStats:
     The classes of each order e | d enter with weight phi(e).  The mean is
     the sum that ``math.fsum`` over the grid gives, correctly rounded: each
     height splits exactly into two 26-bit halves (Veltkamp), whose products
-    with weights below 2^26 are exact, and fsum rounds their exact total.
+    with weights below 2^26 are exact, and ``torsion._row_sums`` rounds
+    their exact total as one row.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"stats needs a finite epsilon > 0, got {eps}")
     check_stats_cost([d])
     orders = arith.divisors(d)[1:]
-    h = np.concatenate([torsion.class_table(e)["height"] for e in orders])
+    h = np.concatenate([torsion.class_table(e) for e in orders])
     w = np.repeat([arith.euler_phi(e) for e in orders], [arith.dedekind_psi(e) for e in orders])
     split = h * 134217729.0  # 2^27 + 1
     hi = split - (split - h)
+    total = torsion._row_sums(lambda: [np.concatenate([hi * w, (h - hi) * w])[None]])[0]
     bins = np.clip((h * (HISTOGRAM_BINS / LOG2)).astype(np.int64), 0, HISTOGRAM_BINS - 1)
     return DistStats(
         d=d,
         eps=eps,
-        mean=math.fsum([*(hi * w).tolist(), *((h - hi) * w).tolist()]) / (d * d - 1),
+        mean=total / (d * d - 1),
         min=float(h.min()),
         max=float(h.max()),
         count_near_eta=int(w[np.abs(h - constants.eta()) < eps].sum()),

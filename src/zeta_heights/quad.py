@@ -44,7 +44,7 @@ KRONROD_WEIGHTS = np.concatenate([_WGK[:7], [_WGK[7]], _WGK[6::-1]])
 GAUSS_WEIGHTS = np.zeros(15)
 GAUSS_WEIGHTS[1::2] = np.concatenate([_WG, _WG[2::-1]])
 
-DEFAULT_BUDGET = 10**6
+DEFAULT_BUDGET = 10**6  # integrand evaluations per interval, read by each integrate call
 
 # Most panels one round may evaluate; each (panels, 15) array of the round
 # then takes 16 MiB.  An integral that would bisect past it stops: np.log on
@@ -53,7 +53,7 @@ DEFAULT_BUDGET = 10**6
 MAX_ROUND_PANELS = 2**17
 
 # Panels may claim this much of the tolerance on top of their length share;
-# with at most budget/15 panels the floor contributes < 0.1 * tol in total.
+# with at most DEFAULT_BUDGET/15 panels the floor contributes < 0.1 * tol in total.
 # Without it, panels pinching an integrable singularity can never satisfy a
 # purely proportional target (their error and their share shrink together).
 _SHARE_FLOOR = 1e-6
@@ -115,7 +115,6 @@ def integrate(
     tol: float,
     *,
     break_points: Iterable[float] = (),
-    budget: int = DEFAULT_BUDGET,
 ) -> QuadResult:
     """Integrate f over [a, b] to absolute tolerance tol.
 
@@ -127,12 +126,12 @@ def integrate(
         tol: absolute tolerance target, finite and positive.
         break_points: abscissae where f is singular or kinked; those strictly
            inside (a, b) split it into intervals, and no panel evaluates them.
-        budget: integrand evaluations per interval.
 
     Raises:
-        BudgetExceeded: the budget ran out before every panel met its
-           tolerance share, or the next round would hold more than
-           MAX_ROUND_PANELS panels; carries the best estimate.
+        BudgetExceeded: the DEFAULT_BUDGET evaluations per interval ran out
+           before every panel met its tolerance share, or the next round
+           would hold more than MAX_ROUND_PANELS panels; carries the best
+           estimate.
         ValueError: bad limits or tolerance, or more than MAX_ROUND_PANELS
            intervals.
     """
@@ -155,7 +154,7 @@ def integrate(
         width = hi - lo
         narrow = width <= _WIDTH_FLOOR * np.maximum(np.abs(lo), np.abs(hi))
         accept = narrow | (err <= tol * (width / (b - a) + _SHARE_FLOOR))
-        exhausted = neval >= budget * intervals or 2 * np.count_nonzero(~accept) > MAX_ROUND_PANELS
+        exhausted = neval >= DEFAULT_BUDGET * intervals or 2 * np.count_nonzero(~accept) > MAX_ROUND_PANELS
         if exhausted:
             accept[:] = True
         vals.append(ik[accept])

@@ -13,17 +13,18 @@ omega, Lambda the von Mangoldt function and phi the Euler totient.
 
 The Archimedean sum is evaluated at the level of the order e (reducing the
 residues by g = gcd(c1, c2, d) cuts the orbit from phi(d) to phi(e) terms)
-and every distance |exp(i*theta) - 1| is computed as 2*sin(pi*m/e) from a
-residue m folded into [0, e/2], which avoids cancellation near the
-singularity and makes the result bit-identical across the symmetry orbit
-of (c1, c2).  That distance increases with m, so the largest of the three
-distances of a unit is the one of its largest folded residue: one sine and
-one log per unit.  The units of e are sieved by the primes of e, and the
-folding makes the units k and e - k give the same summand bit for bit, so
+and every log |exp(i*theta) - 1| is log(2*sin(pi*m/e)) of a residue m folded
+into [0, e/2] (``_log_chord``, for single heights and class tables alike),
+which avoids cancellation near the singularity and makes the result
+bit-identical across the symmetry orbit of (c1, c2).  That distance grows
+with m, so the largest of the three distances of a unit is the one of its
+largest folded residue: one sine and one log per unit.  The units of e are
+sieved by the primes of e, and the folding makes the units k and e - k give the same summand bit for bit, so
 only the units k <= e/2 are summed; with a correctly rounded sum (one chunk
 level and a bounded remainder, deeper only if in doubt: ``_row_sums``) this
 half-orbit mean is the full Galois average to the last bit.  A single height
-streams its sieve of [0, e/2] in slices, keeping no array of the order.
+streams its sieve of [0, e/2] in slices, keeping no array of the order; a
+class table is a read-only array of the heights of one order's classes.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ LOG2 = math.log(2.0)
 # process's ru_maxrss from 29 to 36 MB.
 MAX_ORDER = 10**7
 
-# The per-order caches share one LRU dict, (function, e) -> array, whose
-# arrays hold at most CACHE_BYTES together.  Single heights cache nothing;
-# the dict holds class tables (24 bytes per class, 0.15 MB at e = 4096),
-# inverse tables of prime powers and the unit arrays of curves.
+# The per-order caches share one LRU dict, (function, e) -> read-only array,
+# whose arrays hold at most CACHE_BYTES together.  Single heights cache
+# nothing; the dict holds class tables (8 bytes per class, 49 KB at
+# e = 4096), inverse tables of prime powers and the unit arrays of curves.
 CACHE_BYTES = 64 << 20
 _cache: OrderedDict = OrderedDict()
 _cache_bytes = 0
@@ -60,7 +61,7 @@ _cache_lock = threading.Lock()
 
 
 def _per_order(fn):
-    """Cache fn(e) by the bytes of its arrays; ``cache_clear`` drops fn's entries."""
+    """Cache fn(e) by the bytes of its arrays, handed out read-only; ``cache_clear`` drops fn's entries."""
 
     @functools.wraps(fn)
     def cached(e: int):
@@ -68,6 +69,7 @@ def _per_order(fn):
         value = _cache.get((cached, e))
         if value is None:
             value = fn(e)
+            value.flags.writeable = False  # a cached array is shared by every caller
             if value.nbytes > CACHE_BYTES:  # would evict every table, itself included
                 return value
         with _cache_lock:
@@ -173,16 +175,6 @@ def intersection_point(pt: TorsionPoint) -> ProjectivePointC:
     return ProjectivePointC((w2inv - w1inv, 1.0 - w2inv, w1inv - 1.0))
 
 
-def _root_distances(residues: np.ndarray, e: int) -> np.ndarray:
-    """|exp(2*pi*i*m/e) - 1| as 2*sin(pi*mhat/e) with mhat folded into [0, e/2].
-
-    Folding makes the value a function of the residue's orbit under m -> -m,
-    which is what keeps orbit-equivalent points bit-identical.
-    """
-    mhat = np.minimum(residues, e - residues)
-    return 2.0 * np.sin(np.pi * mhat / e)
-
-
 # Elements of one block of an orbit sum: units of one height, or pairs x
 # units of a table.  On a 2-core Xeon, blocks of 2**16 took 4400 page
 # faults and 1.5x the time of 2**14 (none) per height at e = 999983, and
@@ -191,6 +183,13 @@ def _root_distances(residues: np.ndarray, e: int) -> np.ndarray:
 # the system at every block.
 _BLOCK = 1 << 14
 _FSUM_TERMS = 256  # largest block whose rows math.fsum sums faster than one chunk split does
+
+
+def _log_chord(m: np.ndarray, e: int) -> np.ndarray:
+    """log |exp(2*pi*i*m/e) - 1| as log(2*sin(pi*m/e)) at integer residues m in [0, e/2]: every orbit summand."""
+    x = m * np.pi
+    x /= e
+    return np.log(np.multiply(np.sin(x, out=x), 2.0, out=x), out=x)
 
 
 def _fold(r: np.ndarray, e: int, buf: np.ndarray) -> np.ndarray:
@@ -312,9 +311,7 @@ def archimedean_height(pt: TorsionPoint) -> float:
             m -= np.multiply(np.floor_divide(m, e, out=buf), e, out=buf)
             r = np.abs(m - k)
             m = np.maximum(np.maximum(_fold(m, e, buf), k, out=m), _fold(r, e, buf), out=m)
-        x = m * np.pi  # 2*sin(pi*m/e) and its log in one array, as _root_distances takes them
-        x /= e
-        return np.log(np.multiply(np.sin(x, out=x), 2.0, out=x), out=x)[None]
+        return _log_chord(m, e)[None]
 
     return _row_sums(lambda: map(logs, range(0, len(half), step)))[0] / n
 
@@ -343,8 +340,8 @@ def total_heights(e: int, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     if np.any(np.gcd(np.gcd(a, b), e) != 1):
         raise ValueError(f"residue pairs must be primitive mod {e}")
     k = np.flatnonzero(_coprime(e, e // 2))
-    with np.errstate(divide="ignore"):  # log |exp(2*pi*i*m/e) - 1| for m in [0, e/2], -inf at m = 0
-        table = np.log(_root_distances(np.arange(e // 2 + 1, dtype=np.int64), e))
+    with np.errstate(divide="ignore"):  # -inf at m = 0
+        table = _log_chord(np.arange(e // 2 + 1, dtype=np.int64), e)
     nonarch = nonarchimedean_height(TorsionPoint(e, 1, 0))
     step = max(1, _BLOCK // len(k))
     sums = []
@@ -353,19 +350,15 @@ def total_heights(e: int, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return np.array(sums) / len(k) + nonarch
 
 
-# A dtype, not field names: fromarrays parses names at 3x the cost of a small table.
-_CLASS_ROW = np.dtype([("first", np.int64), ("second", np.int64), ("height", float)])
-
-
 @_per_order
-def class_table(e: int) -> np.recarray:
-    """The psi(e) points of P^1(Z/e), unit classes of primitive pairs mod e, in ``class_index`` order.
+def class_table(e: int) -> np.ndarray:
+    """Heights of the psi(e) points of P^1(Z/e), unit classes of primitive pairs mod e, in ``class_index`` order.
 
-    Row i holds a pair (first, second) and the height its phi(e) unit
-    multiples share bit for bit: the orbit sum runs over all units and is
-    exactly rounded.  Mod each prime power q = p^r of e the classes are
-    (1 : x) for x in [0, q), then (p*y : 1) for y in [0, q/p), combined by
-    the Chinese remainder theorem, first prime most significant.
+    Entry i is the total height that the phi(e) unit multiples of class i
+    share bit for bit: the orbit sum runs over all units and is exactly
+    rounded.  Mod each prime power q = p^r of e the classes are (1 : x) for
+    x in [0, q), then (p*y : 1) for y in [0, q/p), combined by the Chinese
+    remainder theorem, first prime most significant.
     """
     first = second = np.zeros((), dtype=np.int64)
     for p, r in arith._factorize(e):
@@ -380,12 +373,11 @@ def class_table(e: int) -> np.recarray:
     images = np.array(list(symmetry.images(first, second, e)))
     least = class_index(e, images[:, 0], images[:, 1]).min(axis=0)
     summed = np.flatnonzero(least == np.arange(len(first)))
-    heights = total_heights(e, first[summed], second[summed])[np.searchsorted(summed, least)]
-    return np.rec.fromarrays([first, second, heights], dtype=_CLASS_ROW)
+    return total_heights(e, first[summed], second[summed])[np.searchsorted(summed, least)]
 
 
 def class_index(e: int, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Row of ``class_table(e)`` holding each pair (c1, c2) mod e (they broadcast), -1 if not primitive.
+    """Index into ``class_table(e)`` of the class of each pair (c1, c2) mod e (they broadcast), -1 if not primitive.
 
     Mod q = p^r, (c1, c2) with c1 a unit is (1 : c2/c1), index c2/c1; with
     c2 the only unit it is (c1/c2 : 1), index q + (c1/c2)/p.  The indices

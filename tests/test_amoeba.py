@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import quad_reference
 import ronkin_reference
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zeta_heights import amoeba, constants, quad
 from zeta_heights.amoeba import AmoebaPoint, RegionTag
@@ -175,6 +177,25 @@ class TestRonkin:
             lhs = amoeba.ronkin(AmoebaPoint(*mid))
             rhs = 0.5 * (amoeba.ronkin(AmoebaPoint(*a)) + amoeba.ronkin(AmoebaPoint(*b)))
             assert lhs >= rhs - 1e-8
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-700.0, 700.0), st.floats(-700.0, 700.0))
+    def test_psi_off_amoeba_bit_for_bit(self, u1, u2):
+        # off the amoeba ronkin_batch returns min(0, u1, u2) itself, as psi does: no rounding to allow for
+        u = AmoebaPoint(u1, u2)
+        assume(not amoeba.contains(u))
+        assert amoeba.ronkin(u).hex() == amoeba.psi(u).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(*[st.floats(-40.0, 40.0)] * 4)
+    def test_midpoint_concavity(self, a1, a2, b1, b2):
+        # each value is within 6.7e-16 * max(1, |u|) of the mpmath closed form (test_ronkin_closed_form), so
+        # three of them and the rounding of the average and the midpoint stay far inside 1e-13 * max(1, |a|, |b|);
+        # |u| <= 40 keeps the points near the amoeba's body, where rho is curved: farther out rho - psi is
+        # O(e^-|u|), below 2^-53 beyond |u| = 37, so the points would test psi's concavity and a looser bound
+        mid = amoeba.ronkin(AmoebaPoint(0.5 * (a1 + b1), 0.5 * (a2 + b2)))
+        ends = 0.5 * (amoeba.ronkin(AmoebaPoint(a1, a2)) + amoeba.ronkin(AmoebaPoint(b1, b2)))
+        assert mid >= ends - 1e-13 * max(1.0, abs(a1), abs(a2), abs(b1), abs(b2))
 
     def test_against_2d_product_quadrature(self):
         for u1, u2, tol in [(0.0, 0.0, 2e-3), (1.2, -0.7, 1e-6), (-3.0, 0.0, 1e-6)]:

@@ -248,14 +248,29 @@ class TestClassTable:
     def test_points_of_the_projective_line(self, e):
         table = torsion.class_table(e)
         assert len(table) == arith.dedekind_psi(e)
-        assert np.array_equal(torsion.class_index(e, table.first, table.second), np.arange(len(table)))
         r = np.arange(e)
         index = torsion.class_index(e, r[:, None], r)
         assert np.array_equal(index >= 0, np.gcd(np.gcd(r[:, None], r), e) == 1)
         # each class holds phi(e) pairs, all of its height bit for bit
         assert np.array_equal(np.bincount(index[index >= 0]), np.full(len(table), arith.euler_phi(e)))
         for c1, c2 in zip(*np.nonzero(index >= 0)):
-            assert total_height(TorsionPoint(e, int(c1), int(c2))).total == table.height[index[c1, c2]]
+            assert total_height(TorsionPoint(e, int(c1), int(c2))).total == table[index[c1, c2]]
+
+    def test_shared_table_cannot_be_written(self):
+        # a writable cached table let one caller zero stats(7) and compute_grid(7) for every later one
+        st, values = grid.stats(7, 0.1), grid.compute_grid(7).values.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            torsion.class_table(7)[:] = 0.0
+        assert grid.stats(7, 0.1) == st and st.mean > 0.0
+        assert np.array_equal(grid.compute_grid(7).values, values, equal_nan=True)
+
+    def test_every_per_order_array_is_read_only(self, monkeypatch):
+        arrays = [torsion.class_table(12), torsion._inverses(9), torsion._units_array(97)]
+        monkeypatch.setattr(torsion, "CACHE_BYTES", 64)
+        arrays.append(torsion._units_array(1009))  # too large to cache: handed out uncached
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
 
 class TestMeanScan:

@@ -52,9 +52,10 @@ class TestIntegrate:
         b = quad.integrate(f, 0.0, pi, 1e-10)
         assert a == b
 
-    def test_budget_exceeded_carries_best_value(self):
+    def test_budget_exceeded_carries_best_value(self, monkeypatch):
+        monkeypatch.setattr(quad, "DEFAULT_BUDGET", 60)  # read at call time
         with pytest.raises(quad.BudgetExceeded) as info:
-            quad.integrate(lambda s: s * log_dist(s), 0.0, pi, 1e-13, budget=60)
+            quad.integrate(lambda s: s * log_dist(s), 0.0, pi, 1e-13)
         best = info.value.result
         assert best.evaluations >= 60
         assert math.isfinite(best.value)
@@ -105,7 +106,9 @@ class TestBatch:
         tol = 10.0**tol_exp
         f = lambda x: _KINDS[k](x, c1, c2)
         breaks = [a + w * t for t in breaks]
-        res = quad.integrate(f, a, a + w, tol, break_points=breaks, budget=10**7)
+        with pytest.MonkeyPatch.context() as mp:  # hypothesis runs every example under one fixture
+            mp.setattr(quad, "DEFAULT_BUDGET", 10**7)
+            res = quad.integrate(f, a, a + w, tol, break_points=breaks)
         ref = quad_reference.integrate(f, a, a + w, tol, break_points=breaks, budget=10**7)
         assert (res.value, res.err_estimate, res.evaluations) == (ref.value, ref.err_estimate, ref.evaluations)
 
@@ -115,12 +118,14 @@ class TestBatch:
         rowwise = np.array([np.dot(quad.KRONROD_WEIGHTS, row) for row in y])
         assert np.array_equal(np.vecdot(y, quad.KRONROD_WEIGHTS), rowwise)
 
-    def test_budget_counted_per_interval(self):
+    def test_budget_counted_per_interval(self, monkeypatch):
         f = lambda x: x**2
-        res = quad.integrate(f, 0.0, 1.0, 1e-12, break_points=(0.25, 0.5, 0.75), budget=16)
+        monkeypatch.setattr(quad, "DEFAULT_BUDGET", 16)
+        res = quad.integrate(f, 0.0, 1.0, 1e-12, break_points=(0.25, 0.5, 0.75))
         assert res.evaluations == 60 and abs(res.value - 1.0 / 3.0) <= 1e-15
+        monkeypatch.setattr(quad, "DEFAULT_BUDGET", 60)
         with pytest.raises(quad.BudgetExceeded) as info:
-            quad.integrate(lambda s: s * log_dist(s), 0.0, pi, 1e-13, break_points=(1.0, 2.0), budget=60)
+            quad.integrate(lambda s: s * log_dist(s), 0.0, pi, 1e-13, break_points=(1.0, 2.0))
         assert info.value.result.evaluations >= 180
 
     def test_round_panels_bounded(self, monkeypatch):
@@ -129,8 +134,9 @@ class TestBatch:
         rounds = []
         panels = quad._panels
         monkeypatch.setattr(quad, "_panels", lambda f, lo, hi: rounds.append(len(lo)) or panels(f, lo, hi))
+        monkeypatch.setattr(quad, "DEFAULT_BUDGET", 10**8)
         with pytest.raises(quad.BudgetExceeded) as info:
-            quad.integrate(np.log, 0.0, 1.0, 1e-300, budget=10**8)
+            quad.integrate(np.log, 0.0, 1.0, 1e-300)
         result = info.value.result
         assert max(rounds) <= quad.MAX_ROUND_PANELS and result.evaluations < 10**8
         assert abs(result.value + 1.0) <= result.err_estimate

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import units
-from zeta_heights import arith, cli, symmetry, torsion
+from zeta_heights import arith, cli, grid, symmetry, torsion
 from zeta_heights.errors import NontrivialityError
 from zeta_heights.torsion import Extremality, TorsionPoint
 
@@ -39,13 +39,15 @@ def full_orbit_archimedean(pt: TorsionPoint) -> float:
     """Galois average over every unit of the order, with no k <-> e - k halving.
 
     math.fsum over all phi(e) units from the gcd list ``units`` of the log of the
-    largest folded distance from torsion._root_distances, divided by phi(e).
+    largest distance 2*sin(pi*m/e), m each residue folded into [0, e/2], divided by phi(e).
     """
     e, c1, c2 = torsion._reduced(pt)
     k = np.array(units(e), dtype=np.int64)
-    t1 = torsion._root_distances((c1 * k) % e, e)
-    t2 = torsion._root_distances((c2 * k) % e, e)
-    td = torsion._root_distances(((c2 - c1) * k) % e, e)
+
+    def distance(r: np.ndarray) -> np.ndarray:
+        return 2.0 * np.sin(np.pi * np.minimum(r, e - r) / e)
+
+    t1, t2, td = distance((c1 * k) % e), distance((c2 * k) % e), distance(((c2 - c1) * k) % e)
     return fsum(np.log(np.maximum(np.maximum(td, t2), t1)).tolist()) / len(k)
 
 
@@ -470,7 +472,7 @@ class TestShortBlocks:
 
 
 class TestOneLevel:
-    """The sums of point queries, a limits window and a class table certify after one level.
+    """The sums of point queries, a limits window, a class table and stats means certify after one level.
 
     ``_row_sums`` makes its blocks a second time only where one level cannot
     round a row; a change that sends every sum deeper doubles its cost and
@@ -515,6 +517,19 @@ class TestOneLevel:
         torsion.class_table.cache_clear()
         torsion.class_table(9973)
         assert len(calls) > 200 and set(calls) == {1}
+
+    def test_stats_means(self, calls):
+        moduli = [*range(2, 131), 2310]
+        means = []
+        for d in moduli:
+            grid.stats(d, 0.1)  # builds the class tables, whose sums are counted too
+            del calls[:]
+            grid.stats(d, 0.1)
+            means.append(list(calls))  # the mean alone
+        # 65 of the moduli have more than _FSUM_TERMS weighted halves and split them one level deep
+        values = [2 * sum(arith.dedekind_psi(e) for e in arith.divisors(d)[1:]) for d in moduli]
+        assert sum(n > torsion._FSUM_TERMS for n in values) == 65
+        assert means == [[1]] * len(moduli)
 
 
 def shaped_pair(d: int, z: int, w: int, form: int) -> tuple[int, int]:
