@@ -19,12 +19,13 @@ which avoids cancellation near the singularity and makes the result
 bit-identical across the symmetry orbit of (c1, c2).  That distance grows
 with m, so the largest of the three distances of a unit is the one of its
 largest folded residue: one sine and one log per unit.  The units of e are
-sieved by the primes of e, and the folding makes the units k and e - k give the same summand bit for bit, so
-only the units k <= e/2 are summed; with a correctly rounded sum (one chunk
-level and a bounded remainder, deeper only if in doubt: ``_row_sums``) this
-half-orbit mean is the full Galois average to the last bit.  A single height
-streams its sieve of [0, e/2] in slices, keeping no array of the order; a
-class table is a read-only array of the heights of one order's classes.
+sieved by the primes of e, and the folding makes the units k and e - k give
+the same summand bit for bit, so only the units k <= e/2 are summed; with a
+correctly rounded sum (one chunk level and a bounded remainder, deeper only
+if in doubt: ``_row_sums``) this half-orbit mean is the full Galois average
+to the last bit.  A single height streams its sieve of [0, e/2] in slices,
+keeping no array of the order; a class table is a read-only array of the
+heights of one order's classes.
 """
 
 from __future__ import annotations
