@@ -73,8 +73,11 @@ def psi(u: AmoebaPoint) -> float:
 
 def _triangle_slacks(u1, u2) -> tuple:
     # log((r1+r2)/1), log((1+r2)/r1), log((1+r1)/r2); all >= 0 iff u is in
-    # the amoeba.  Elementwise on arrays.
-    return np.logaddexp(-u1, -u2), np.logaddexp(0.0, -u2) + u1, np.logaddexp(0.0, -u1) + u2
+    # the amoeba.  Elementwise on arrays.  Each slack is a sum of finite
+    # terms, so an overflow near +-max-double gives +-inf of the right sign,
+    # never NaN: the warning is noise.
+    with np.errstate(over="ignore"):
+        return np.logaddexp(-u1, -u2), np.logaddexp(0.0, -u2) + u1, np.logaddexp(0.0, -u1) + u2
 
 
 def contains(u: AmoebaPoint) -> bool:

@@ -164,7 +164,7 @@ def cmd_limits(args: argparse.Namespace) -> str:
         curve = curves.TorsionCurve(*_parse_pair(args.a, "--a"), 1 if args.e is None else args.e)
     elif args.e is not None:
         raise ValueError("limits: --e needs --a")
-    exp = curves.limit_experiment(curve, d_range, random_witness=args.random_witness, seed=args.seed)
+    exp = curves.limit_experiment(curve, d_range, seed=args.random_witness)
     if args.format == "json":
         return _json_line({"limit": exp.limit, "rows": [vars(r) for r in exp.rows]})
     lines = [f"{r.d},{r.c1},{r.c2},{r.order},{r.height:.17g},{r.gap:.17g},{exp.limit:.17g}" for r in exp.rows]
@@ -232,28 +232,26 @@ def cmd_amoeba(args: argparse.Namespace) -> str:
 
 # Each subcommand's help line and arguments, (flag, add_argument keywords), in usage order.
 _CSV_JSON = {"default": "csv", "choices": ("csv", "json")}
-_THREADS = {"type": int, "help": "accepted and ignored: the program runs in one thread"}
 SUBCOMMANDS = {
     "height": ("height of one torsion point", [
         ("--d", {"type": int, "required": True}), ("--c", {"required": True, "help": "c1,c2"})]),
     "grid": ("full d x d height grid", [
         ("--d", {"type": int, "required": True}), ("--format", {"default": "csv", "choices": FORMATS}),
-        ("--out", {}), ("--threads", _THREADS), ("--epsilon", {"type": float, "default": 0.1})]),
+        ("--out", {}), ("--epsilon", {"type": float, "default": 0.1, "help": "read by --format json only"})]),
     "stats": ("distribution statistics over a range of d", [
         ("--d-range", {"required": True, "help": "LO:HI or LO:HI:STEP"}),
         ("--epsilon", {"type": float, "default": 0.1}), ("--format", _CSV_JSON), ("--out", {}),
-        ("--threads", _THREADS)]),
+        ("--threads", {"type": int, "help": "ignored: the program runs in one thread; kept for the benchmark's argv"})]),
     "constants": ("special values as JSON", []),
     "limits": ("convergence of witness heights to the limit", [
         ("--d-list", {"help": "comma-separated moduli, strictly increasing"}),
         ("--primes", {"help": "LO:HI, take all primes in the range"}),
         ("--a", {"help": "a1,a2 (restrict to a torsion curve)"}), ("--e", {"type": int}),
-        ("--tol", {"type": float, "help": "accepted and ignored: the curve limit is a finite Clausen sum"}),
-        ("--random-witness", {"action": "store_true"}), ("--seed", {"type": int, "default": 0}),
+        ("--random-witness", {"type": int, "nargs": "?", "const": 0, "metavar": "SEED",
+                              "help": "random primitive witnesses drawn from SEED (0 if omitted); not with --a"}),
         ("--format", _CSV_JSON), ("--out", {})]),
     "curve": ("segment-average limit height of a torsion curve", [
-        ("--a", {"required": True, "help": "a1,a2 (primitive)"}), ("--e", {"type": int, "default": 1}),
-        ("--tol", {"type": float, "help": "accepted and ignored: the limit is a finite Clausen sum"})]),
+        ("--a", {"required": True, "help": "a1,a2 (primitive)"}), ("--e", {"type": int, "default": 1})]),
     "amoeba": ("amoeba membership, moments, Ronkin values", [
         ("--contains", {"help": "u1,u2"}), ("--moment", {"type": int}),
         ("--volume", {"action": "store_true", "default": None}),

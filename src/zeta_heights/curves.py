@@ -201,21 +201,19 @@ def _curve_witness(curve: TorsionCurve, d: int) -> TorsionPoint:
     return TorsionPoint(d, int(c1[i]), int(c2[i]))
 
 
-def limit_experiment(
-    curve: TorsionCurve | None,
-    d_list: list[int],
-    *,
-    random_witness: bool = False,
-    seed: int = 0,
-) -> LimitExperiment:
+def limit_experiment(curve: TorsionCurve | None, d_list: list[int], *, seed: int | None = None) -> LimitExperiment:
     """Convergence table of witness heights against the predicted limit.
 
     With no curve the limit is eta and the witness at each d is the
-    heuristic strict point (1, isqrt(d)); with a curve the limit is its
+    heuristic strict point (1, isqrt(d)), or with a seed a random point of
+    order d drawn from random.Random(seed); with a curve the limit is its
     segment average and the witness is a point of maximal order among the
-    d-torsion points of the curve; every modulus is checked before the
-    limit is computed.  The gap column is reported, not asserted, per row.
+    d-torsion points of the curve, and a seed raises ValueError; every
+    modulus is checked before the limit is computed.  The gap column is
+    reported, not asserted, per row.
     """
+    if curve is not None and seed is not None:
+        raise ValueError("a random witness is drawn from the whole torus, not from a curve")
     if any(b <= a for a, b in zip(d_list, d_list[1:])):
         raise ValueError("d_list must be strictly increasing")
     if not d_list:
@@ -228,11 +226,11 @@ def limit_experiment(
         for d in d_list:
             _check_modulus(curve, d)
         limit = limit_height(curve)
-    rng = random.Random(seed)
+    rng = None if seed is None else random.Random(seed)
     rows = []
     for d in d_list:
         if curve is None:
-            pt = _random_witness(d, rng) if random_witness else _generic_witness(d)
+            pt = _generic_witness(d) if rng is None else _random_witness(d, rng)
         else:
             pt = _curve_witness(curve, d)
         h = total_height(pt).total

@@ -103,7 +103,7 @@ class TestGrid:
         paths = [tmp_path / name for name in ("a.pgm", "b.pgm", "c.pgm")]
         assert cli.main(["grid", "--d", "60", "--format", "pgm", "--out", str(paths[0])]) == 0
         assert cli.main(["grid", "--d", "60", "--format", "pgm", "--out", str(paths[1])]) == 0
-        assert cli.main(["grid", "--d", "60", "--format", "pgm", "--threads", "4", "--out", str(paths[2])]) == 0
+        assert cli.main(["grid", "--d", "60", "--format", "pgm", "--out", str(paths[2])]) == 0
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
@@ -172,6 +172,9 @@ class TestStats:
         code, out = run(capsys, "stats", "--d-range", "58:60", "--threads", "8")
         assert code == 0
         assert len(out.strip().splitlines()) == 4
+        # the benchmark's stats-sweep form prints the bytes of its argv without --threads
+        sweep = ["stats", "--d-range=7:7", "--format", "json", "--threads", "2", "--epsilon", "0.0836"]
+        assert run(capsys, *sweep) == run(capsys, *sweep[:4], *sweep[6:])
 
 
 class TestParserCache:
@@ -188,6 +191,8 @@ class TestParserCache:
         ["constants"], ["limits", "--d-list", "5,7"], ["curve", "--a", "3,5"], ["amoeba", "--ronkin", "0.3,-0.2"],
         ["-h"], ["height", "-h"], [], ["bogus"], ["--", "height"], ["height", "--d", "5", "--c", "1,2", "--bogus"],
         ["height", "--d", "5", "--c", "1,2", "extra"], ["grid", "--d", "4", "--format", "xml"], ["stats"],
+        ["limits", "--d-list", "5,7", "--random-witness"], ["limits", "--d-list", "5,7", "--random-witness", "9"],
+        ["limits", "--d-list", "5,7", "--random-witness=-3"], ["grid", "--d", "4", "--threads", "2"],
     ])
     def test_same_output_as_full_parser(self, capsys, monkeypatch, argv):
         def outcome():
@@ -386,12 +391,6 @@ class TestCurve:
     def test_invalid_direction_exits_2(self, capsys):
         assert cli.main(["curve", "--a", "2,4", "--e", "1"]) == 2
 
-    @pytest.mark.parametrize("argv", [["curve"], ["limits", "--d-list", "15,30"]])
-    def test_tol_accepted_and_ignored(self, capsys, argv):
-        # the limit is a finite Clausen sum
-        plain = run(capsys, *argv, "--a", "3,5", "--e", "15")
-        assert plain[0] == 0 and run(capsys, *argv, "--a", "3,5", "--e", "15", "--tol", "1e-3") == plain
-
 
 class TestAmoeba:
     def test_moment(self, capsys):
@@ -460,10 +459,18 @@ class TestAmoeba:
         assert out == ""
         assert err.startswith("error: moment order must be <= 170") and "Warning" not in err
 
-    def test_membership(self, capsys):
-        code, out = run(capsys, "amoeba", "--contains", "0,0")
+    @pytest.mark.parametrize("u, contains, region", [
+        ("0,0", True, "south"), ("1e308,-1e308", False, "outside"), ("-1e308,1e308", False, "outside"),
+        ("-1.7976931348623157e308,-1.7976931348623157e308", True, "boundary"), ("-800,-801", False, "outside"),
+    ], ids=["origin", "1e308,-1e308", "-1e308,1e308", "-max,-max", "-800,-801"])
+    def test_membership(self, capsys, u, contains, region):
+        # the slacks overflow to +-inf far out; no numpy warning may reach stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["amoeba", f"--contains={u}"])
+        out, err = capsys.readouterr()
         rec = json.loads(out)
-        assert rec["contains"] is True
+        assert (code, rec["contains"], rec["region"], err) == (0, contains, region, "")
 
     def test_psi_average(self, capsys):
         code, out = run(capsys, "amoeba", "--psi-average")
@@ -594,11 +601,30 @@ class TestParsing:
         assert cli.main(["height", "--d", "4", "--c", "1,2,3"]) == 2
 
     def test_random_witness_flag(self, capsys):
-        code, out = run(capsys, "limits", "--d-list", "40,50", "--random-witness",
-                        "--seed", "9", "--format", "json")
+        code, out = run(capsys, "limits", "--d-list", "40,50", "--random-witness", "9", "--format", "json")
         assert code == 0
         rows = json.loads(out)["rows"]
         assert all(r["order"] == r["d"] for r in rows)
+        # the seed alone picks the witnesses: 0 when omitted
+        assert run(capsys, "limits", "--d-list", "40,50", "--random-witness", "0") == \
+            run(capsys, "limits", "--d-list", "40,50", "--random-witness")
+        assert run(capsys, "limits", "--d-list", "40,50", "--random-witness=9", "--format", "json") == (0, out)
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["grid", "--d", "4", "--threads", "2"], "unrecognized arguments: --threads 2"),
+        (["curve", "--a", "2,-1", "--tol", "1e-3"], "unrecognized arguments: --tol 1e-3"),
+        (["limits", "--d-list", "5,7", "--tol", "1e-3"], "unrecognized arguments: --tol 1e-3"),
+        (["limits", "--d-list", "5,7", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        # the same argv without --random-witness exits 0
+        (["limits", "--d-list", "10,20", "--a", "1,0", "--e", "5", "--random-witness"], "not from a curve"),
+    ], ids=["grid-threads", "curve-tol", "limits-tol", "limits-seed", "limits-curve-random-witness"])
+    def test_removed_options_exit_2(self, capsys, argv, reason):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses an unknown option
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "") and reason in err
 
 
 class TestMalformedNumbers:

@@ -351,11 +351,13 @@ class TestLimitExperiment:
             assert abs(row.height) <= 1e-9
 
     def test_random_witness_deterministic(self):
-        a = curves.limit_experiment(None, [50, 60], random_witness=True, seed=5)
-        b = curves.limit_experiment(None, [50, 60], random_witness=True, seed=5)
+        a = curves.limit_experiment(None, [50, 60], seed=5)
+        b = curves.limit_experiment(None, [50, 60], seed=5)
         assert a == b
         for row in a.rows:
             assert row.order == row.d  # primitive witness has full order
+        with pytest.raises(ValueError, match="not from a curve"):
+            curves.limit_experiment(TorsionCurve(2, -1, 1), [5, 13], seed=5)
 
     def test_not_increasing_rejected(self):
         with pytest.raises(ValueError):
